@@ -40,6 +40,7 @@ CONFIG_KEYS = (
     "total_layers",
     "seed",
     "aggregation",
+    "per_view_anchors",
 )
 
 SEED_ENV = "TEAMC_SEED"
@@ -67,6 +68,9 @@ def load_config(path=None) -> CompressionConfig:
             seed = int(env_seed)
         except ValueError:
             raise ParameterError(f"{SEED_ENV} must be an integer, got {env_seed!r}") from None
+    per_view = raw.get("per_view_anchors", False)
+    if not isinstance(per_view, bool):
+        raise ParameterError(f"per_view_anchors must be true or false, got {per_view!r}")
 
     return CompressionConfig(
         expand=ExpandParams(
@@ -82,6 +86,7 @@ def load_config(path=None) -> CompressionConfig:
         total_layers=int(raw.get("total_layers", 32)),
         seed=int(seed),
         aggregation=str(raw.get("aggregation", "max")),
+        per_view_anchors=per_view,
     )
 
 

@@ -46,6 +46,11 @@ def token_matrix(data, *, name: str = "tokens") -> np.ndarray:
     return arr
 
 
+def sq_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of each row, in the rows' dtype; equal rows get equal norms."""
+    return np.einsum("ij,ij->i", rows, rows)
+
+
 def index_set(indices, *, limit: int | None = None, name: str = "indices") -> np.ndarray:
     """Sorted unique int64 token indices, checked against ``limit`` when given."""
     arr = np.unique(np.asarray(indices, dtype=np.int64))

@@ -62,7 +62,9 @@ def expand_mask(mask: BinaryMask, params: ExpandParams, rng: RngState) -> Binary
       of its window, picked uniformly by a seeded draw; a window with no
       unset cell is left alone.
 
-    F == tau triggers neither rule. Both rules read the density of the
+    F == tau triggers neither rule, and F is an integer count, so at the
+    default tau = 1 no cell is sparse: expansion is the dense dilation
+    alone and the rng is never drawn. Both rules read the density of the
     original mask; dilation is applied before any flips, and flips land in
     row-major scan order of the sparse cells, so later flips see earlier
     ones. Output bits are a superset of input bits.

@@ -6,10 +6,13 @@ matching matrix built from RMS-normalized dot products, and every source is
 then renormalized by the total weight it received, so well-matched sources
 move toward the targets they absorbed while poorly-matched ones stay put.
 
-All matching arithmetic runs in float64 with fixed reduction order, then
-results are cast back to float32; merged rows are convex combinations of
-the source row and the target rows, so they stay inside the data's
-coordinate-wise hull.
+The public functions validate their inputs once and call private kernels
+that take float64 rows with their squared norms, which ``merge_stage``
+computes once per visual span. All merge arithmetic is float64: logits are
+raw dot products scaled afterwards by the two rows' RMS factors, and the
+fold runs in place; results are cast back to float32. Merged rows are
+convex combinations of the source row and the target rows, so they stay
+inside the data's coordinate-wise hull.
 """
 
 from __future__ import annotations
@@ -18,23 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, ShapeError, index_set, token_matrix
+from .core import ParameterError, ShapeError, index_set, sq_norms, token_matrix
 
 MODES = ("soft", "hard")
 
 
 @dataclass(frozen=True)
 class MergeParams:
-    """Merge knobs: source-set size, matching mode, and normalizer details.
-
-    ``hidden_dim`` pins the width used by the 1/sqrt(d) logit scaling; leave
-    it None to take the width from the inputs.
-    """
+    """Merge knobs: source-set size, matching mode, and the RMS epsilon."""
 
     m: int = 80
     mode: str = "soft"
     epsilon: float = 1e-6
-    hidden_dim: int | None = None
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -43,8 +41,6 @@ class MergeParams:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.epsilon > 0.0:
             raise ParameterError("epsilon must be positive")
-        if self.hidden_dim is not None and self.hidden_dim < 1:
-            raise ParameterError("hidden_dim must be >= 1 when given")
 
 
 @dataclass(frozen=True)
@@ -57,6 +53,11 @@ class MergeReport:
     tokens_after: int
 
 
+def _rms_scale(sq: np.ndarray, d: int, epsilon: float) -> np.ndarray:
+    # the module's one RMS formula: 1 / sqrt(mean of squares + epsilon)
+    return 1.0 / np.sqrt(sq / d + epsilon)
+
+
 def rms_norm(x, epsilon: float = 1e-6) -> np.ndarray:
     """Scale by the reciprocal root-mean-square of the entries, no learned gain.
 
@@ -66,8 +67,8 @@ def rms_norm(x, epsilon: float = 1e-6) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] < 1:
         raise ShapeError(f"rms_norm expects a non-empty vector or matrix, got shape {x.shape}")
-    ms = np.mean(np.square(x), axis=-1, keepdims=True)
-    return x / np.sqrt(ms + epsilon)
+    rows = x.reshape(-1, x.shape[-1])
+    return (rows * _rms_scale(sq_norms(rows), x.shape[-1], epsilon)[:, None]).reshape(x.shape)
 
 
 def split_source_target(tokens, source) -> tuple[np.ndarray, np.ndarray]:
@@ -81,16 +82,27 @@ def split_source_target(tokens, source) -> tuple[np.ndarray, np.ndarray]:
     return tokens[source], tokens[rest]
 
 
-def match_logits(sources, targets, *, epsilon: float = 1e-6, hidden_dim: int | None = None) -> np.ndarray:
-    """Scaled similarity logits, one row per target: dot(rms(t_i), rms(s_j)) / sqrt(d)."""
-    sources = token_matrix(sources, name="sources")
-    targets = token_matrix(targets, name="targets")
+def _logits(sources, s_sq, targets, t_sq, epsilon: float) -> np.ndarray:
+    # dot(rms(t_i), rms(s_j)) / sqrt(d), scaled after the raw float64 product
+    d = sources.shape[1]
+    logits = targets @ sources.T
+    logits *= _rms_scale(t_sq, d, epsilon)[:, None]
+    logits *= _rms_scale(s_sq, d, epsilon) / np.sqrt(d)
+    return logits
+
+
+def _float64_pair(sources, targets) -> tuple[np.ndarray, np.ndarray]:
+    sources = token_matrix(sources, name="sources").astype(np.float64)
+    targets = token_matrix(targets, name="targets").astype(np.float64)
     if sources.shape[1] != targets.shape[1]:
         raise ShapeError(f"embedding dims differ: {sources.shape[1]} vs {targets.shape[1]}")
-    d = sources.shape[1]
-    if hidden_dim is not None and hidden_dim != d:
-        raise ShapeError(f"hidden_dim {hidden_dim} does not match embedding dim {d}")
-    return (rms_norm(targets, epsilon) @ rms_norm(sources, epsilon).T) / np.sqrt(d)
+    return sources, targets
+
+
+def match_logits(sources, targets, *, epsilon: float = 1e-6) -> np.ndarray:
+    """Scaled similarity logits, one row per target: dot(rms(t_i), rms(s_j)) / sqrt(d)."""
+    sources, targets = _float64_pair(sources, targets)
+    return _logits(sources, sq_norms(sources), targets, sq_norms(targets), epsilon)
 
 
 def match_weights(logits, mode: str = "soft") -> np.ndarray:
@@ -103,14 +115,26 @@ def match_weights(logits, mode: str = "soft") -> np.ndarray:
     if logits.ndim != 2:
         raise ShapeError(f"logits must be 2-D, got shape {logits.shape}")
     if mode == "soft":
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        e /= e.sum(axis=1, keepdims=True)
+        return e
     if mode == "hard":
         w = np.zeros_like(logits)
         w[np.arange(logits.shape[0]), np.argmax(logits, axis=1)] = 1.0
         return w
     raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
+
+
+def _fold(sources, s_sq, targets, t_sq, params: MergeParams) -> tuple[np.ndarray, np.ndarray]:
+    """Merged float32 sources and the weight each absorbed, from float64 rows and squared norms."""
+    if targets.shape[0] == 0:
+        return sources.astype(np.float32), np.zeros(sources.shape[0])
+    w = match_weights(_logits(sources, s_sq, targets, t_sq, params.epsilon), params.mode)
+    merged = w.T @ targets
+    merged += sources
+    absorbed = w.sum(axis=0)
+    merged /= (1.0 + absorbed)[:, None]
+    return merged.astype(np.float32), absorbed
 
 
 def soft_bipartite_merge(
@@ -133,8 +157,7 @@ def soft_bipartite_merge(
     come back bitwise unchanged. ``source_indices``, when given, is recorded
     in the report (positions of the sources in the caller's sequence).
     """
-    sources = token_matrix(sources, name="sources")
-    targets = token_matrix(targets, name="targets")
+    sources, targets = _float64_pair(sources, targets)
     n_s, n_t = sources.shape[0], targets.shape[0]
     if n_s < 1:
         raise ParameterError("merge needs at least one source token")
@@ -147,15 +170,5 @@ def soft_bipartite_merge(
         if source_indices.size != n_s:
             raise ShapeError(f"{source_indices.size} source indices for {n_s} source rows")
 
-    if n_t == 0:
-        report = MergeReport(source_indices, np.zeros(n_s), n_s, n_s)
-        return sources.copy(), report
-
-    logits = match_logits(sources, targets, epsilon=params.epsilon, hidden_dim=params.hidden_dim)
-    w = match_weights(logits, params.mode)
-    absorbed = w.T @ targets.astype(np.float64)
-    s_vec = w.sum(axis=0)
-    merged = (sources.astype(np.float64) + absorbed) / (1.0 + s_vec)[:, None]
-
-    report = MergeReport(source_indices, s_vec, n_s + n_t, n_s)
-    return merged.astype(np.float32), report
+    merged, absorbed = _fold(sources, sq_norms(sources), targets, sq_norms(targets), params)
+    return merged, MergeReport(source_indices, absorbed, n_s + n_t, n_s)

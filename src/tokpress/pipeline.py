@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ParameterError, PatchGrid, RngState, ShapeError, token_matrix
+from .core import ParameterError, PatchGrid, RngState, ShapeError, sq_norms, token_matrix
 from .costmodel import TokenSchedule
 from .expand import ExpandParams, expand_mask
-from .merge import MergeParams, MergeReport, soft_bipartite_merge, split_source_target
+from .merge import MergeParams, MergeReport, _fold
 from .sampling import context_indices, keep_set
-from .similarity import anchor_mask, relevance_scores, top_m
+from .similarity import _anchor_mask, _relevance, top_m
 
 AGGREGATIONS = ("max", "mean")
 
@@ -98,16 +98,8 @@ class PipelineResult:
     compressed: np.ndarray
 
 
-def prune_stage(e_img, e_lang, grid: PatchGrid, config: CompressionConfig):
-    """Stage one: anchors -> expansion -> context union -> row selection.
-
-    Returns (kept tokens, kept indices, PruneReport). Kept rows preserve
-    their original relative order.
-    """
-    e_img = token_matrix(e_img, name="e_img")
-    if e_img.shape[0] != grid.total:
-        raise ShapeError(f"e_img has {e_img.shape[0]} rows, grid expects {grid.total}")
-    anchors = anchor_mask(e_lang, e_img, grid, per_view=config.per_view_anchors)
+def _prune(e_img, e_lang, grid: PatchGrid, config: CompressionConfig):
+    anchors = _anchor_mask(e_lang, e_img, grid, config.per_view_anchors)
     expanded = expand_mask(anchors, config.expand, RngState(config.seed))
     context = context_indices(grid.total, config.context_fraction)
     kept_idx = keep_set(expanded, context)
@@ -119,6 +111,16 @@ def prune_stage(e_img, e_lang, grid: PatchGrid, config: CompressionConfig):
         pruned=grid.total - int(kept_idx.size),
     )
     return e_img[kept_idx], kept_idx, report
+
+
+def prune_stage(e_img, e_lang, grid: PatchGrid, config: CompressionConfig):
+    """Stage one: anchors -> expansion -> context union -> row selection.
+
+    Returns (kept tokens, kept indices, PruneReport). Kept rows preserve
+    their original relative order.
+    """
+    e_img = token_matrix(e_img, name="e_img")
+    return _prune(e_img, token_matrix(e_lang, name="e_lang"), grid, config)
 
 
 def _range_bounds(visual_range, n_rows: int) -> tuple[int, int]:
@@ -133,6 +135,23 @@ def _range_bounds(visual_range, n_rows: int) -> tuple[int, int]:
     return int(start), int(stop)
 
 
+def _merge(hidden, guidance, visual_range, config: CompressionConfig):
+    start, stop = _range_bounds(visual_range, hidden.shape[0])
+    n_visual = stop - start
+    m = config.merge.m
+    if m > n_visual:
+        raise ParameterError(f"merge source count {m} exceeds {n_visual} visual tokens")
+
+    # one float64 upcast and one pass of squared norms serve scoring and merging
+    visual = hidden[start:stop].astype(np.float64)
+    sq = sq_norms(visual)
+    source = top_m(_relevance(visual, sq, guidance, config.aggregation), m)
+    rest = np.setdiff1d(np.arange(n_visual, dtype=np.int64), source, assume_unique=True)
+    merged, absorbed = _fold(visual[source], sq[source], visual[rest], sq[rest], config.merge)
+    report = MergeReport(source + start, absorbed, n_visual, m)
+    return np.vstack([hidden[:start], merged, hidden[stop:]]), report
+
+
 def merge_stage(hidden, guidance, visual_range, config: CompressionConfig):
     """Stage two: replace the visual rows of ``hidden`` by m merged sources.
 
@@ -142,21 +161,7 @@ def merge_stage(hidden, guidance, visual_range, config: CompressionConfig):
     of the input sequence).
     """
     hidden = token_matrix(hidden, name="hidden")
-    start, stop = _range_bounds(visual_range, hidden.shape[0])
-    n_visual = stop - start
-    m = config.merge.m
-    if m > n_visual:
-        raise ParameterError(f"merge source count {m} exceeds {n_visual} visual tokens")
-
-    visual = hidden[start:stop]
-    scores = relevance_scores(visual, guidance, aggregation=config.aggregation)
-    local_sources = top_m(scores, m)
-    sources, targets = split_source_target(visual, local_sources)
-    merged, report = soft_bipartite_merge(
-        sources, targets, config.merge, source_indices=local_sources + start
-    )
-    compressed = np.vstack([hidden[:start], merged, hidden[stop:]])
-    return compressed, report
+    return _merge(hidden, token_matrix(guidance, name="guidance"), visual_range, config)
 
 
 def run_pipeline(e_img, e_lang, guidance, grid: PatchGrid, config: CompressionConfig) -> PipelineResult:
@@ -170,10 +175,10 @@ def run_pipeline(e_img, e_lang, guidance, grid: PatchGrid, config: CompressionCo
     e_lang = token_matrix(e_lang, name="e_lang")
 
     t0 = time.perf_counter()
-    kept, kept_idx, prune_rep = prune_stage(e_img, e_lang, grid, config)
+    kept, kept_idx, prune_rep = _prune(token_matrix(e_img, name="e_img"), e_lang, grid, config)
     t1 = time.perf_counter()
     hidden = np.vstack([kept, e_lang, guidance])
-    compressed, merge_rep = merge_stage(hidden, guidance, (0, kept.shape[0]), config)
+    compressed, merge_rep = _merge(hidden, guidance, (0, kept.shape[0]), config)
     t2 = time.perf_counter()
 
     schedule = TokenSchedule.two_stage(

@@ -3,6 +3,10 @@
 Anchors seed the stage-one mask: each language token votes for the image
 patch it is most similar to. The same machinery scores image tokens against
 an arbitrary guidance set to pick merge sources.
+
+Public functions validate their inputs once and call private kernels, which
+the pipeline stages call directly. Scores come from one float64 cosine
+formula; anchors are screened in float32 and decided in float64.
 """
 
 from __future__ import annotations
@@ -16,15 +20,26 @@ from .core import (
     PatchGrid,
     ShapeError,
     index_set,
+    sq_norms,
     token_matrix,
 )
 
+_U32 = 2.0**-24  # float32 unit roundoff
+_SAFE_SQ = (2.0**-60, 2.0**60)  # float32 squared row norms the screen's bound covers
 
-def _unit_rows(a: np.ndarray) -> np.ndarray:
-    # float64 internally; zero-norm rows stay zero so they score 0 downstream
-    a = a.astype(np.float64)
-    norms = np.linalg.norm(a, axis=1, keepdims=True)
-    return a / np.where(norms > 0.0, norms, 1.0)
+
+def _check_pair(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape[1] != b.shape[1]:
+        raise ShapeError(f"embedding dims differ: {a.shape[1]} vs {b.shape[1]}")
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        raise ShapeError("cosine similarity needs non-empty inputs")
+
+
+def _cosine(dots: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
+    # dots[i, j] / (|a_i| |b_j|); a zero row gets an infinite norm and scores 0
+    na = np.where(a_sq > 0.0, np.sqrt(a_sq), np.inf)
+    nb = np.where(b_sq > 0.0, np.sqrt(b_sq), np.inf)
+    return dots / np.outer(na, nb)
 
 
 def cosine_similarity_matrix(a, b) -> np.ndarray:
@@ -33,51 +48,76 @@ def cosine_similarity_matrix(a, b) -> np.ndarray:
     Rows with zero norm produce 0 for all their entries, so padded tokens are
     harmless. Returns float64, shape (a.rows, b.rows).
     """
-    a = token_matrix(a, name="a")
-    b = token_matrix(b, name="b")
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"embedding dims differ: {a.shape[1]} vs {b.shape[1]}")
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ShapeError("cosine similarity needs non-empty inputs")
-    return _unit_rows(a) @ _unit_rows(b).T
+    a = token_matrix(a, name="a").astype(np.float64)
+    b = token_matrix(b, name="b").astype(np.float64)
+    _check_pair(a, b)
+    return _cosine(a @ b.T, sq_norms(a), sq_norms(b))
+
+
+def _argmax_cosine(lang: np.ndarray, img: np.ndarray) -> np.ndarray:
+    """Index of each language row's most cosine-similar image row; ties go low.
+
+    The float32 screen scales language row l by an exact power of two to l'
+    (largest entry in [0.5, 1)) and scores image row x as s = fl(l'.x) / fl(|x|).
+    With x's float32 squared norm in ``_SAFE_SQ`` nothing overflows and
+    underflow is negligible, so |fl(l'.x) - l'.x| <= g|l'||x| and
+    |fl(|x|) - |x|| <= g|x|, g = (d+2)u / (1 - (d+2)u), in any summation order;
+    then |s - l'.x/|x|| <= E = |l'|(2g / (1 - g) + 2u), and for (d+2)u <= 1/16
+    the float64 argmax lies within 2E + (float64 error) <= (5d + 16)u|l'| of
+    the best s. Rows in that margin, and rows the bound does not cover, are
+    re-scored in float64, each in one fixed summation order.
+    """
+    d = img.shape[1]
+    _, exponent = np.frexp(np.abs(lang).max(axis=1))
+    scaled = np.ldexp(lang, -exponent[:, None])
+    img_sq = sq_norms(img)
+    safe = (img_sq >= _SAFE_SQ[0]) & (img_sq <= _SAFE_SQ[1]) & ((d + 2) * _U32 <= 1 / 16)
+    with np.errstate(over="ignore", invalid="ignore"):
+        screen = (img @ scaled.T).T / np.sqrt(np.where(safe, img_sq, 1.0))
+    screen[:, ~safe] = -np.inf
+    margin = (5 * d + 16) * _U32 * np.sqrt(sq_norms(scaled.astype(np.float64)))
+    candidate = (screen >= (screen.max(axis=1) - margin)[:, None]) | ~safe
+
+    cols = np.flatnonzero(candidate.any(axis=0))
+    lang64, rows64 = lang.astype(np.float64), img[cols].astype(np.float64)
+    sims = _cosine(np.einsum("kj,ij->ki", lang64, rows64), sq_norms(lang64), sq_norms(rows64))
+    sims[~candidate[:, cols]] = -np.inf
+    return cols[np.argmax(sims, axis=1)]
+
+
+def _anchor_mask(e_lang: np.ndarray, e_img: np.ndarray, grid: PatchGrid, per_view: bool) -> BinaryMask:
+    if e_img.shape[0] != grid.total:
+        raise ShapeError(f"e_img has {e_img.shape[0]} rows, grid expects {grid.total}")
+    if e_lang.shape[0] < 1:
+        raise ShapeError("anchor_mask needs at least one language token")
+    _check_pair(e_lang, e_img)
+    flat = np.zeros(grid.total, dtype=bool)
+    span = grid.tokens_per_view if per_view else grid.total
+    for start in range(0, grid.total, span):
+        flat[_argmax_cosine(e_lang, e_img[start : start + span]) + start] = True
+    return BinaryMask(grid, flat.reshape(grid.shape))
 
 
 def anchor_mask(e_lang, e_img, grid: PatchGrid, *, per_view: bool = False) -> BinaryMask:
     """Mark, for every language token, the grid cell of its most similar image token.
 
     Bits are the union over language tokens (set semantics, so at most
-    ``e_lang.rows`` bits are set). Argmax ties resolve to the lower token
-    index. With ``per_view=True`` the argmax is taken inside each camera view
-    separately, one anchor per view per language token, instead of across the
-    concatenated sequence.
+    ``e_lang.rows`` bits are set). Similarity is the float64 cosine; the
+    float32 screen only narrows the rows that get scored, never the result.
+    Argmax ties resolve to the lower token index. With ``per_view=True`` the
+    argmax is taken inside each camera view separately, one anchor per view
+    per language token, instead of across the concatenated sequence.
     """
     e_lang = token_matrix(e_lang, name="e_lang")
     e_img = token_matrix(e_img, name="e_img")
-    if e_img.shape[0] != grid.total:
-        raise ShapeError(f"e_img has {e_img.shape[0]} rows, grid expects {grid.total}")
-    if e_lang.shape[0] < 1:
-        raise ShapeError("anchor_mask needs at least one language token")
-
-    sims = cosine_similarity_matrix(e_lang, e_img)
-    flat = np.zeros(grid.total, dtype=bool)
-    if per_view:
-        tpv = grid.tokens_per_view
-        for v in range(grid.views):
-            block = sims[:, v * tpv : (v + 1) * tpv]
-            flat[np.argmax(block, axis=1) + v * tpv] = True
-    else:
-        flat[np.argmax(sims, axis=1)] = True
-    return BinaryMask(grid, flat.reshape(grid.shape))
+    return _anchor_mask(e_lang, e_img, grid, per_view)
 
 
-def relevance_scores(e_img, guides, *, aggregation: str = "max") -> np.ndarray:
-    """Score each image token by cosine similarity to a set of guidance tokens.
-
-    ``aggregation`` collapses the per-guide similarities: "max" (default,
-    robust to irrelevant guides) or "mean". Returns float32, one score per
-    image token.
-    """
-    sims = cosine_similarity_matrix(e_img, guides)
+def _relevance(visual: np.ndarray, visual_sq: np.ndarray, guides: np.ndarray, aggregation: str) -> np.ndarray:
+    # visual is float64 with its squared row norms; guides is a checked token matrix
+    _check_pair(visual, guides)
+    guides = guides.astype(np.float64)
+    sims = _cosine(visual @ guides.T, visual_sq, sq_norms(guides))
     if aggregation == "max":
         scores = sims.max(axis=1)
     elif aggregation == "mean":
@@ -85,6 +125,18 @@ def relevance_scores(e_img, guides, *, aggregation: str = "max") -> np.ndarray:
     else:
         raise ParameterError(f"unknown aggregation {aggregation!r} (use 'max' or 'mean')")
     return scores.astype(np.float32)
+
+
+def relevance_scores(e_img, guides, *, aggregation: str = "max") -> np.ndarray:
+    """Score each image token by cosine similarity to a set of guidance tokens.
+
+    ``aggregation`` collapses the per-guide similarities: "max" (default,
+    robust to irrelevant guides) or "mean". Similarities are computed in
+    float64; returns float32, one score per image token.
+    """
+    visual = token_matrix(e_img, name="e_img").astype(np.float64)
+    guides = token_matrix(guides, name="guides")
+    return _relevance(visual, sq_norms(visual), guides, aggregation)
 
 
 def top_m(scores, m: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 
 from tokpress.cli import load_config, main, parse_grid, parse_schedule
 from tokpress.core import ParameterError
+from tokpress.pipeline import prune_stage
 from tokpress.tokenfile import read_tokens
 
 
@@ -62,6 +63,12 @@ class TestConfig:
         path = tmp_path / "c.json"
         path.write_text('{"kernel": 3}')
         with pytest.raises(ParameterError, match="kernel"):
+            load_config(path)
+
+    def test_per_view_anchors_must_be_boolean(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"per_view_anchors": "false"}')
+        with pytest.raises(ParameterError, match="per_view_anchors"):
             load_config(path)
 
     def test_non_object_rejected(self, tmp_path):
@@ -198,6 +205,27 @@ class TestSubcommands:
         assert rep["tokens_after"] == "80"
         assert read_tokens(out).shape[0] == 80
         assert abs(float(rep["weight_total"]) - 432.0) < 1e-3
+
+    def test_per_view_anchors_key_reaches_viz_prune_and_pipeline(self, workload_dir, tmp_path, capsys):
+        path = tmp_path / "per_view.json"
+        path.write_text('{"per_view_anchors": true}')
+        config = load_config(path)
+        assert config.per_view_anchors
+        grid = parse_grid("2x16x16")
+        img, lang = read_tokens(workload_dir / "img.tkb"), read_tokens(workload_dir / "lang.tkb")
+        _, want_idx, want = prune_stage(img, lang, grid, config)
+        assert want.anchors != prune_stage(img, lang, grid, load_config(None))[2].anchors
+
+        args = ["--tokens", str(workload_dir / "img.tkb"), "--lang", str(workload_dir / "lang.tkb"),
+                "--grid", "2x16x16", "--config", str(path)]  # fmt: skip
+        assert main(["viz", *args, "--out", str(tmp_path / "pv"), "--mask-stage", "anchor"]) == 0
+        assert int(report_dict(capsys.readouterr().out)["bits"]) == want.anchors
+        assert main(["prune", *args]) == 0
+        rep = report_dict(capsys.readouterr().out)
+        assert [int(i) for i in rep["kept_indices"].split(",")] == want_idx.tolist()
+        assert main(["pipeline", *args, "--no-timing"]) == 0
+        rep = report_dict(capsys.readouterr().out)
+        assert (int(rep["anchors"]), int(rep["expanded"]), int(rep["kept"])) == (want.anchors, want.expanded, want.kept)
 
     def test_cost_identity_ratio(self, capsys):
         code = main(["cost", "--baseline", "flat:576", "--candidate", "flat:576"])

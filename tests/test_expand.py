@@ -99,6 +99,24 @@ class TestExpandMask:
         out = expand_mask(mask, ExpandParams(3, 1), RngState(99))
         assert np.array_equal(out.bits, mask.bits)
 
+    @given(
+        st.integers(0, 2**31),
+        st.sampled_from([1, 3, 5, 7]),
+        st.integers(1, 3),
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_tau1_never_flips(self, seed, k, views, h, w, fill):
+        # F is an integer count, so 0 < F < 1 is empty: at the default
+        # threshold only the dense rule runs and the seed is irrelevant
+        mask = random_mask(PatchGrid(views, h, w), fill, seed)
+        counts = density_map(mask, k).counts
+        assert not ((counts > 0) & (counts < 1)).any()
+        out = expand_mask(mask, ExpandParams(k, 1), RngState(seed))
+        assert np.array_equal(out.bits, oracles.dense_region(mask.bits, k, 1))
+
     def test_adjacent_pair_tau1(self):
         # F reaches 2 around the pair, so the dense rule fires; no sparse
         # cells exist at tau=1, so the result is seed-independent

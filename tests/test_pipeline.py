@@ -111,6 +111,20 @@ class TestMergeStage:
         assert np.allclose(out, want, atol=1e-5)
         assert abs(s_vec.sum() - 3) < 1e-6
 
+    def test_vla_width_matches_step_oracle(self):
+        # d=4096, the scale where merge_stage scores and folds one float64 upcast
+        load = generate_workload(WorkloadSpec(grid=PatchGrid(1, 8, 12), embed_dim=4096, seed=15))
+        hidden = np.vstack([load.e_img, load.e_lang])
+        out, rep = merge_stage(hidden, load.guidance, (0, 96), goal_long(merge=MergeParams(m=40)))
+        scores = oracles.cosine(load.e_img, load.guidance).max(axis=1).astype(np.float32)
+        src = oracles.top_m_indices(scores, 40)
+        assert rep.source_indices.tolist() == src
+        rest = sorted(set(range(96)) - set(src))
+        want, _, s_vec = oracles.merge_steps(load.e_img[src], load.e_img[rest])
+        assert np.max(np.abs(out[:40].astype(np.float64) - want)) <= 1e-5
+        assert np.allclose(rep.absorbed_weight, s_vec, atol=1e-8)
+        assert np.array_equal(out[40:], load.e_lang)
+
     def test_goal_long_count(self):
         load = load_2view(7)
         out, rep = merge_stage(load.e_img, load.guidance, (0, 512), goal_long())

@@ -110,6 +110,102 @@ class TestAnchorMask:
         assert np.array_equal(base.bits, scaled.bits)
 
 
+def oracle_anchor_bits(e_lang, e_img, grid, per_view):
+    span = grid.tokens_per_view if per_view else grid.total
+    cells = set()
+    for start in range(0, grid.total, span):
+        cells |= {c + start for c in oracles.anchor_cells(e_lang, e_img[start : start + span])}
+    return cells
+
+
+class TestScreenedArgmax:
+    """The float32 screen never changes the float64 decision the oracle makes."""
+
+    @pytest.mark.parametrize("d", [7, 64, 100, 4096])
+    def test_exact_duplicates_lower_index_wins(self, d):
+        grid = PatchGrid(1, 4, 10)
+        e_img = rand((40, d), 20)
+        copies = [3, 8, 17, 22, 31, 39]
+        e_img[copies] = e_img[copies[0]]
+        e_lang = np.vstack([e_img[3] + 0.01 * rand((1, d), 21)[0], e_img[3] * np.float32(5.0)])
+        mask = anchor_mask(e_lang, e_img, grid)
+        assert mask.token_indices().tolist() == [3]
+        assert set(mask.token_indices().tolist()) == oracles.anchor_cells(e_lang, e_img)
+
+    def test_near_duplicates_a_few_ulps_apart(self):
+        # rows that differ by one float32 ulp in a few coordinates are closer
+        # than float32 can resolve at d=4096, far apart in float64
+        d, grid = 4096, PatchGrid(1, 2, 3)
+        gen = np.random.default_rng(22)
+        flipped = 0
+        for seed in range(24):
+            base = rand((1, d), 100 + seed)[0]
+            e_img = np.repeat(base[None], 6, axis=0)
+            for row in range(1, 6):
+                coords = gen.choice(d, size=int(gen.integers(1, 6)), replace=False)
+                toward = np.where(gen.random(coords.size) < 0.5, np.inf, -np.inf).astype(np.float32)
+                e_img[row, coords] = np.nextafter(e_img[row, coords], toward)
+            e_lang = (base + 0.5 * rand((1, d), 200 + seed)[0])[None]
+            want = oracles.anchor_cells(e_lang, e_img)
+            assert set(anchor_mask(e_lang, e_img, grid).token_indices().tolist()) == want
+            screen = (e_lang @ e_img.T) / np.sqrt(np.einsum("ij,ij->i", e_img, e_img))
+            flipped += int(np.argmax(screen[0])) not in want
+        assert flipped > 0  # float32 alone would have picked another row
+
+    def test_zero_rows(self):
+        grid = PatchGrid(1, 3, 3)
+        e_img = np.abs(rand((9, 5), 23))
+        e_img[[2, 6]] = 0.0
+        # nonzero image rows score negative against the first language row, so
+        # the lower zero image row wins; a zero language row scores 0 everywhere
+        e_lang = np.stack([np.full(5, -1.0, np.float32), np.zeros(5, np.float32), e_img[4]])
+        mask = anchor_mask(e_lang, e_img, grid)
+        assert set(mask.token_indices().tolist()) == oracles.anchor_cells(e_lang, e_img) == {0, 2, 4}
+
+    @pytest.mark.parametrize("img_scale", [1e-30, 1.0, 1e20])
+    @pytest.mark.parametrize("lang_scale", [1e-30, 1.0, 1e20, 1e37])
+    def test_extreme_row_scales(self, img_scale, lang_scale):
+        # at 1e37 an unscaled float32 dot with a row of norm 1e8 overflows
+        grid = PatchGrid(2, 4, 4)
+        e_img, e_lang = rand((32, 48), 24), rand((5, 48), 25)
+        e_img[::3] *= np.float32(img_scale)
+        e_img[1::3] *= np.float32(1e8)
+        e_lang[::2] *= np.float32(lang_scale)
+        for per_view in (False, True):
+            got = anchor_mask(e_lang, e_img, grid, per_view=per_view)
+            assert set(got.token_indices().tolist()) == oracle_anchor_bits(e_lang, e_img, grid, per_view)
+
+    def test_subnormal_language_row(self):
+        # unscaled, both float32 products with row 0 round to zero and row 1 wins the screen
+        tiny = np.float32(2.0**-149)
+        e_lang = np.array([[tiny, tiny]], dtype=np.float32)
+        e_img = np.array([[0.49, 0.49], [0.51, 0.0]], dtype=np.float32)
+        got = anchor_mask(e_lang, e_img, PatchGrid(1, 1, 2)).token_indices().tolist()
+        assert set(got) == oracles.anchor_cells(e_lang, e_img) == {0}
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.integers(1, 24),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_on_random_grids(self, seed, views, h, w, d, per_view):
+        gen = np.random.default_rng(seed)
+        grid = PatchGrid(views, h, w)
+        e_img = gen.standard_normal((grid.total, d)).astype(np.float32)
+        e_lang = gen.standard_normal((int(gen.integers(1, 5)), d)).astype(np.float32)
+        n = grid.total
+        e_img[gen.random(n) < 0.2] = 0.0
+        dup = gen.random(n) < 0.2
+        e_img[dup] = e_img[int(gen.integers(0, n))]
+        e_img *= np.float32(10.0) ** gen.choice([-30, 0, 20], size=(n, 1)).astype(np.float32)
+        got = anchor_mask(e_lang, e_img, grid, per_view=per_view)
+        assert set(got.token_indices().tolist()) == oracle_anchor_bits(e_lang, e_img, grid, per_view)
+
+
 class TestRelevanceScores:
     def test_copy_scores_one(self):
         e_img = rand((8, 5), 10)
