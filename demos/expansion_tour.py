@@ -30,7 +30,7 @@ show(mask, f"input mask, {mask.count()} bits")
 
 counts = density_map(mask, kernel_size=3)
 print("density map (3x3 window counts):")
-for row in counts.counts[0]:
+for row in counts[0]:
     print("  " + " ".join(f"{c}" for c in row))
 print()
 

@@ -10,7 +10,6 @@ generator, and a CLI (``tokpress``).
 from .core import (
     BinaryMask,
     CounterStream,
-    DensityMap,
     GridRangeError,
     ParameterError,
     PatchGrid,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryMask",
     "CounterStream",
-    "DensityMap",
     "GridRangeError",
     "ParameterError",
     "PatchGrid",

@@ -30,26 +30,29 @@ from .similarity import anchor_mask
 from .tokenfile import export_mask_pgm, read_tokens, write_tokens
 from .workload import Workload, WorkloadSpec, generate_workload
 
-CONFIG_KEYS = (
-    "kernel_size",
-    "tau",
-    "context_fraction",
-    "top_m",
-    "merge_mode",
-    "merge_layer",
-    "total_layers",
-    "seed",
-    "aggregation",
-    "per_view_anchors",
-)
+# JSON key -> (CompressionConfig group or None for a top-level field, field, JSON type)
+CONFIG_KEYS = {
+    "kernel_size": ("expand", "kernel_size", "integer"),
+    "tau": ("expand", "threshold", "integer"),
+    "context_fraction": (None, "context_fraction", "number"),
+    "top_m": ("merge", "m", "integer"),
+    "merge_mode": ("merge", "mode", "string"),
+    "merge_layer": (None, "merge_layer", "integer"),
+    "total_layers": (None, "total_layers", "integer"),
+    "seed": (None, "seed", "integer"),
+    "aggregation": (None, "aggregation", "string"),
+    "per_view_anchors": (None, "per_view_anchors", "boolean"),
+}
+_JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "boolean": bool}
 
 SEED_ENV = "TEAMC_SEED"
 
 
 def load_config(path=None) -> CompressionConfig:
-    """Build a CompressionConfig from a JSON file; missing keys take defaults.
+    """Build a CompressionConfig from a JSON file; missing keys take its defaults.
 
-    Unknown keys are rejected so typos fail loudly. TEAMC_SEED in the
+    Unknown keys and values of the wrong JSON type are rejected so typos
+    fail loudly; range checks are the dataclasses' own. TEAMC_SEED in the
     environment beats the file's seed.
     """
     raw = {}
@@ -61,32 +64,21 @@ def load_config(path=None) -> CompressionConfig:
     if unknown:
         raise ParameterError(f"unknown config keys: {', '.join(unknown)}")
 
-    seed = raw.get("seed", 0)
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            raw["seed"] = int(env_seed)
         except ValueError:
             raise ParameterError(f"{SEED_ENV} must be an integer, got {env_seed!r}") from None
-    per_view = raw.get("per_view_anchors", False)
-    if not isinstance(per_view, bool):
-        raise ParameterError(f"per_view_anchors must be true or false, got {per_view!r}")
-
+    fields = {None: {}, "expand": {}, "merge": {}}
+    for key, value in raw.items():
+        group, name, kind = CONFIG_KEYS[key]
+        # bool is a subclass of int in Python, but JSON true/false is no number
+        if not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool) != (kind == "boolean"):
+            raise ParameterError(f"config key {key} must be a JSON {kind}, got {value!r}")
+        fields[group][name] = value
     return CompressionConfig(
-        expand=ExpandParams(
-            kernel_size=int(raw.get("kernel_size", 3)),
-            threshold=int(raw.get("tau", 1)),
-        ),
-        context_fraction=float(raw.get("context_fraction", 0.25)),
-        merge=MergeParams(
-            m=int(raw.get("top_m", 80)),
-            mode=str(raw.get("merge_mode", "soft")),
-        ),
-        merge_layer=int(raw.get("merge_layer", 16)),
-        total_layers=int(raw.get("total_layers", 32)),
-        seed=int(seed),
-        aggregation=str(raw.get("aggregation", "max")),
-        per_view_anchors=per_view,
+        expand=ExpandParams(**fields["expand"]), merge=MergeParams(**fields["merge"]), **fields[None]
     )
 
 
@@ -206,6 +198,7 @@ def _cmd_pipeline(args) -> int:
         write_tokens(result.compressed, args.out)
 
     rep, schedule = result.report, result.report.schedule
+    final = int(schedule.visual_counts[-1])
     baseline = TokenSchedule.flat(grid.total, config.total_layers, schedule.non_visual)
     ratio = relative_flops(schedule, baseline, BackboneSpec(layers=config.total_layers))
     lines = [
@@ -218,9 +211,9 @@ def _cmd_pipeline(args) -> int:
         f"kept={rep.keep_size}",
         f"pruned={rep.pruned}",
         f"merged_away={rep.merged_away}",
-        f"final_visual={int(schedule.visual_counts[-1])}",
+        f"final_visual={final}",
         f"sequence_out={result.compressed.shape[0]}",
-        f"schedule={rep.keep_size}until{config.merge_layer}then{config.merge.m}of{config.total_layers}",
+        f"schedule={rep.keep_size}until{config.merge_layer}then{final}of{config.total_layers}",
         f"non_visual={schedule.non_visual}",
         f"flops_ratio={ratio!r}",
     ]

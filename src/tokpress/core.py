@@ -87,25 +87,6 @@ class PatchGrid:
     def shape(self) -> tuple[int, int, int]:
         return (self.views, self.height, self.width)
 
-    def flatten_index(self, view: int, row: int, col: int) -> int:
-        """Token index of cell (view, row, col) under view-major, row-major order."""
-        for axis, value, bound in (
-            ("view", view, self.views),
-            ("row", row, self.height),
-            ("col", col, self.width),
-        ):
-            if not 0 <= value < bound:
-                raise GridRangeError(f"{axis} {value} out of range [0, {bound})")
-        return view * self.tokens_per_view + row * self.width + col
-
-    def unflatten_index(self, idx: int) -> tuple[int, int, int]:
-        """Inverse of :meth:`flatten_index`."""
-        if not 0 <= idx < self.total:
-            raise GridRangeError(f"token index {idx} out of range [0, {self.total})")
-        view, rest = divmod(int(idx), self.tokens_per_view)
-        row, col = divmod(rest, self.width)
-        return view, row, col
-
 
 @dataclass(frozen=True)
 class BinaryMask:
@@ -150,24 +131,6 @@ class BinaryMask:
         return self.bits[v]
 
 
-@dataclass(frozen=True)
-class DensityMap:
-    """Per-cell count of set mask cells within a k x k window, per view."""
-
-    grid: PatchGrid
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.shape != self.grid.shape:
-            raise ShapeError(f"density shape {counts.shape} != grid shape {self.grid.shape}")
-        if counts.size and counts.min() < 0:
-            raise ParameterError("density counts must be non-negative")
-        counts = counts.copy()
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
-
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
@@ -189,7 +152,6 @@ class RngState:
 
     seed: int
 
-    ALGORITHM = "splitmix64"
     #: counters reserved per keyed decision; see :meth:`uniform_index`
     DRAW_SLOTS = 16
 
@@ -207,9 +169,6 @@ class RngState:
             z = (z ^ (z >> np.uint64(30))) * _MIX_A
             z = (z ^ (z >> np.uint64(27))) * _MIX_B
             return z ^ (z >> np.uint64(31))
-
-    def value_at(self, counter: int) -> int:
-        return int(self.values(counter, 1)[0])
 
     def uniform_index(self, counter_base: int, n: int) -> int:
         """Uniform draw in [0, n), bias-free via rejection sampling.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .core import BinaryMask, DensityMap, ParameterError, RngState
+from .core import BinaryMask, ParameterError, RngState
 
 
 @dataclass(frozen=True)
@@ -32,17 +32,19 @@ class ExpandParams:
             raise ParameterError(f"threshold must be >= 0, got {self.threshold}")
 
 
-def density_map(mask: BinaryMask, kernel_size: int) -> DensityMap:
+def density_map(mask: BinaryMask, kernel_size: int) -> np.ndarray:
     """Count set bits in the k x k window centered at each cell.
 
     Windows are clipped at view borders (zero padding), and never cross a
-    view boundary. Counts land in [0, k*k].
+    view boundary. Returns a read-only int64 array shaped like the grid,
+    with counts in [0, k*k].
     """
     if kernel_size < 1 or kernel_size % 2 == 0:
         raise ParameterError(f"kernel_size must be odd and >= 1, got {kernel_size}")
     kernel = np.ones((1, kernel_size, kernel_size), dtype=np.int64)
     counts = ndimage.convolve(mask.bits.astype(np.int64), kernel, mode="constant", cval=0)
-    return DensityMap(mask.grid, counts)
+    counts.setflags(write=False)
+    return counts
 
 
 def _window(center: int, k: int, size: int) -> tuple[int, int]:
@@ -75,7 +77,7 @@ def expand_mask(mask: BinaryMask, params: ExpandParams, rng: RngState) -> Binary
     """
     grid = mask.grid
     k, tau = params.kernel_size, params.threshold
-    counts = density_map(mask, k).counts
+    counts = density_map(mask, k)
 
     out = mask.bits.copy()
     dense = counts > tau

@@ -24,23 +24,23 @@ import numpy as np
 from .core import ParameterError, ShapeError, index_set, sq_norms, token_matrix
 
 MODES = ("soft", "hard")
+#: added to the mean square in every RMS scale, so zero rows stay at zero;
+#: the merge oracle in tests/oracles.py uses the same value
+EPSILON = 1e-6
 
 
 @dataclass(frozen=True)
 class MergeParams:
-    """Merge knobs: source-set size, matching mode, and the RMS epsilon."""
+    """Merge knobs: source-set size and matching mode (the RMS epsilon is ``EPSILON``)."""
 
     m: int = 80
     mode: str = "soft"
-    epsilon: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ParameterError(f"source-set size m must be >= 1, got {self.m}")
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not self.epsilon > 0.0:
-            raise ParameterError("epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -53,22 +53,22 @@ class MergeReport:
     tokens_after: int
 
 
-def _rms_scale(sq: np.ndarray, d: int, epsilon: float) -> np.ndarray:
-    # the module's one RMS formula: 1 / sqrt(mean of squares + epsilon)
-    return 1.0 / np.sqrt(sq / d + epsilon)
+def _rms_scale(sq: np.ndarray, d: int) -> np.ndarray:
+    # the module's one RMS formula: 1 / sqrt(mean of squares + EPSILON)
+    return 1.0 / np.sqrt(sq / d + EPSILON)
 
 
-def rms_norm(x, epsilon: float = 1e-6) -> np.ndarray:
+def rms_norm(x) -> np.ndarray:
     """Scale by the reciprocal root-mean-square of the entries, no learned gain.
 
-    Accepts a single vector or a matrix (normalized row by row). The epsilon
+    Accepts a single vector or a matrix (normalized row by row). ``EPSILON``
     keeps zero vectors at zero instead of dividing by zero. Returns float64.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] < 1:
         raise ShapeError(f"rms_norm expects a non-empty vector or matrix, got shape {x.shape}")
     rows = x.reshape(-1, x.shape[-1])
-    return (rows * _rms_scale(sq_norms(rows), x.shape[-1], epsilon)[:, None]).reshape(x.shape)
+    return (rows * _rms_scale(sq_norms(rows), x.shape[-1])[:, None]).reshape(x.shape)
 
 
 def split_source_target(tokens, source) -> tuple[np.ndarray, np.ndarray]:
@@ -82,12 +82,12 @@ def split_source_target(tokens, source) -> tuple[np.ndarray, np.ndarray]:
     return tokens[source], tokens[rest]
 
 
-def _logits(sources, s_sq, targets, t_sq, epsilon: float) -> np.ndarray:
+def _logits(sources, s_sq, targets, t_sq) -> np.ndarray:
     # dot(rms(t_i), rms(s_j)) / sqrt(d), scaled after the raw float64 product
     d = sources.shape[1]
     logits = targets @ sources.T
-    logits *= _rms_scale(t_sq, d, epsilon)[:, None]
-    logits *= _rms_scale(s_sq, d, epsilon) / np.sqrt(d)
+    logits *= _rms_scale(t_sq, d)[:, None]
+    logits *= _rms_scale(s_sq, d) / np.sqrt(d)
     return logits
 
 
@@ -99,10 +99,10 @@ def _float64_pair(sources, targets) -> tuple[np.ndarray, np.ndarray]:
     return sources, targets
 
 
-def match_logits(sources, targets, *, epsilon: float = 1e-6) -> np.ndarray:
+def match_logits(sources, targets) -> np.ndarray:
     """Scaled similarity logits, one row per target: dot(rms(t_i), rms(s_j)) / sqrt(d)."""
     sources, targets = _float64_pair(sources, targets)
-    return _logits(sources, sq_norms(sources), targets, sq_norms(targets), epsilon)
+    return _logits(sources, sq_norms(sources), targets, sq_norms(targets))
 
 
 def match_weights(logits, mode: str = "soft") -> np.ndarray:
@@ -125,11 +125,11 @@ def match_weights(logits, mode: str = "soft") -> np.ndarray:
     raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _fold(sources, s_sq, targets, t_sq, params: MergeParams) -> tuple[np.ndarray, np.ndarray]:
+def _fold(sources, s_sq, targets, t_sq, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Merged float32 sources and the weight each absorbed, from float64 rows and squared norms."""
     if targets.shape[0] == 0:
         return sources.astype(np.float32), np.zeros(sources.shape[0])
-    w = match_weights(_logits(sources, s_sq, targets, t_sq, params.epsilon), params.mode)
+    w = match_weights(_logits(sources, s_sq, targets, t_sq), mode)
     merged = w.T @ targets
     merged += sources
     absorbed = w.sum(axis=0)
@@ -170,5 +170,5 @@ def soft_bipartite_merge(
         if source_indices.size != n_s:
             raise ShapeError(f"{source_indices.size} source indices for {n_s} source rows")
 
-    merged, absorbed = _fold(sources, sq_norms(sources), targets, sq_norms(targets), params)
+    merged, absorbed = _fold(sources, sq_norms(sources), targets, sq_norms(targets), params.mode)
     return merged, MergeReport(source_indices, absorbed, n_s + n_t, n_s)

@@ -135,10 +135,9 @@ def _range_bounds(visual_range, n_rows: int) -> tuple[int, int]:
     return int(start), int(stop)
 
 
-def _merge(hidden, guidance, visual_range, config: CompressionConfig):
+def _merge(hidden, guidance, visual_range, config: CompressionConfig, m: int):
     start, stop = _range_bounds(visual_range, hidden.shape[0])
     n_visual = stop - start
-    m = config.merge.m
     if m > n_visual:
         raise ParameterError(f"merge source count {m} exceeds {n_visual} visual tokens")
 
@@ -147,7 +146,7 @@ def _merge(hidden, guidance, visual_range, config: CompressionConfig):
     sq = sq_norms(visual)
     source = top_m(_relevance(visual, sq, guidance, config.aggregation), m)
     rest = np.setdiff1d(np.arange(n_visual, dtype=np.int64), source, assume_unique=True)
-    merged, absorbed = _fold(visual[source], sq[source], visual[rest], sq[rest], config.merge)
+    merged, absorbed = _fold(visual[source], sq[source], visual[rest], sq[rest], config.merge.mode)
     report = MergeReport(source + start, absorbed, n_visual, m)
     return np.vstack([hidden[:start], merged, hidden[stop:]]), report
 
@@ -158,18 +157,21 @@ def merge_stage(hidden, guidance, visual_range, config: CompressionConfig):
     ``visual_range`` is the contiguous (start, stop) row span holding visual
     tokens; rows outside it pass through untouched. Returns the shortened
     sequence and the MergeReport (source positions are absolute row indices
-    of the input sequence).
+    of the input sequence). An m larger than the span raises ParameterError.
     """
     hidden = token_matrix(hidden, name="hidden")
-    return _merge(hidden, token_matrix(guidance, name="guidance"), visual_range, config)
+    guidance = token_matrix(guidance, name="guidance")
+    return _merge(hidden, guidance, visual_range, config, config.merge.m)
 
 
 def run_pipeline(e_img, e_lang, guidance, grid: PatchGrid, config: CompressionConfig) -> PipelineResult:
     """Both stages end to end, with an identity backbone in between.
 
     The mid-layer sequence is [kept visual tokens, language tokens, guidance
-    tokens]; only the visual span is merged. The schedule holds the kept
-    count up to merge_layer and the merged count from there on.
+    tokens]; only the visual span is merged, to min(kept, m) sources, so a
+    scene that keeps fewer than m tokens passes through unmerged. The
+    schedule holds the kept count up to merge_layer and the merged count
+    from there on.
     """
     guidance = token_matrix(guidance, name="guidance")
     e_lang = token_matrix(e_lang, name="e_lang")
@@ -178,12 +180,13 @@ def run_pipeline(e_img, e_lang, guidance, grid: PatchGrid, config: CompressionCo
     kept, kept_idx, prune_rep = _prune(token_matrix(e_img, name="e_img"), e_lang, grid, config)
     t1 = time.perf_counter()
     hidden = np.vstack([kept, e_lang, guidance])
-    compressed, merge_rep = _merge(hidden, guidance, (0, kept.shape[0]), config)
+    merged = min(prune_rep.kept, config.merge.m)
+    compressed, merge_rep = _merge(hidden, guidance, (0, kept.shape[0]), config, merged)
     t2 = time.perf_counter()
 
     schedule = TokenSchedule.two_stage(
         kept=prune_rep.kept,
-        merged=config.merge.m,
+        merged=merged,
         merge_layer=config.merge_layer,
         layers=config.total_layers,
         non_visual=e_lang.shape[0] + guidance.shape[0],

@@ -58,7 +58,7 @@ def read_tokens(path) -> np.ndarray:
     data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(rows, cols)
     if data.size and not np.isfinite(data).all():
         raise PayloadError(f"{path}: payload contains non-finite values")
-    return data.astype(np.float32).copy()
+    return data.astype(np.float32)
 
 
 def export_mask_pgm(mask: BinaryMask, path) -> None:

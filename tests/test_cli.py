@@ -1,11 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from tokpress.cli import load_config, main, parse_grid, parse_schedule
+from tokpress.cli import CONFIG_KEYS, load_config, main, parse_grid, parse_schedule
 from tokpress.core import ParameterError
-from tokpress.pipeline import prune_stage
+from tokpress.expand import ExpandParams
+from tokpress.merge import MergeParams
+from tokpress.pipeline import CompressionConfig, prune_stage
 from tokpress.tokenfile import read_tokens
 
 
@@ -70,6 +73,70 @@ class TestConfig:
         path.write_text('{"per_view_anchors": "false"}')
         with pytest.raises(ParameterError, match="per_view_anchors"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ('{"tau": 1.9}', "tau"),
+            ('{"top_m": "40"}', "top_m"),
+            ('{"kernel_size": true}', "kernel_size"),
+            ('{"context_fraction": "0.5"}', "context_fraction"),
+        ],
+    )
+    def test_wrong_json_type_names_key(self, tmp_path, text, key):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(ParameterError, match=key):
+            load_config(path)
+
+    def test_integer_context_fraction_loads(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"context_fraction": 1}')
+        assert load_config(path).context_fraction == 1.0
+
+    def test_keys_map_one_to_one_onto_config_fields(self):
+        config = CompressionConfig()
+        leaves = set()
+        for f in dataclasses.fields(config):
+            value = getattr(config, f.name)
+            if dataclasses.is_dataclass(value):
+                leaves |= {(f.name, g.name) for g in dataclasses.fields(value)}
+            else:
+                leaves.add((None, f.name))
+        targets = [(group, name) for group, name, _ in CONFIG_KEYS.values()]
+        assert len(set(targets)) == len(targets)
+        assert set(targets) == leaves
+
+    def test_every_key_round_trips(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("TEAMC_SEED", raising=False)
+        values = {
+            "kernel_size": 5,
+            "tau": 2,
+            "context_fraction": 0.5,
+            "top_m": 40,
+            "merge_mode": "hard",
+            "merge_layer": 3,
+            "total_layers": 8,
+            "seed": 7,
+            "aggregation": "mean",
+            "per_view_anchors": True,
+        }
+        assert set(values) == set(CONFIG_KEYS)
+        default = CompressionConfig()
+        for key, (group, name, _) in CONFIG_KEYS.items():
+            assert values[key] != getattr(getattr(default, group) if group else default, name)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(values))
+        assert load_config(path) == CompressionConfig(
+            expand=ExpandParams(kernel_size=5, threshold=2),
+            context_fraction=0.5,
+            merge=MergeParams(m=40, mode="hard"),
+            merge_layer=3,
+            total_layers=8,
+            seed=7,
+            aggregation="mean",
+            per_view_anchors=True,
+        )
 
     def test_non_object_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -171,6 +238,29 @@ class TestSubcommands:
         assert "time_prune_ms" not in rep
         compressed = read_tokens(out)
         assert compressed.shape[0] == int(rep["sequence_out"])
+
+    @pytest.mark.parametrize("grid,block", [("1x8x8", "5"), ("1x12x12", "5"), ("1x1x1", "1")])
+    def test_pipeline_small_scene_merges_to_kept(self, tmp_path, capsys, grid, block):
+        # the default config keeps fewer than its m = 80 sources here
+        w = tmp_path / "w"
+        gen = ["gen", "--out-dir", str(w), "--grid", grid, "--block-min", block, "--block-max", block]
+        assert main(gen) == 0
+        capsys.readouterr()
+        code = main(
+            [
+                "pipeline",
+                "--tokens", str(w / "img.tkb"),
+                "--lang", str(w / "lang.tkb"),
+                "--guidance", str(w / "guidance.tkb"),
+                "--grid", grid,
+                "--no-timing",
+            ]
+        )
+        assert code == 0
+        rep = report_dict(capsys.readouterr().out)
+        kept = int(rep["kept"])
+        assert kept < 80 and rep["final_visual"] == str(kept) and rep["merged_away"] == "0"
+        assert rep["schedule"] == f"{kept}until16then{kept}of32"
 
     def test_pipeline_timing_lines_present_by_default(
         self, workload_dir, config_path, capsys

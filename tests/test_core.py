@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from tokpress.core import (
     BinaryMask,
     CounterStream,
-    DensityMap,
     GridRangeError,
     ParameterError,
     PatchGrid,
@@ -66,54 +65,11 @@ class TestIndexSet:
 
 
 class TestPatchGrid:
-    def test_flatten_identity_cell(self):
-        assert PatchGrid(1, 4, 4).flatten_index(0, 0, 0) == 0
-
-    def test_flatten_second_view(self):
-        assert PatchGrid(2, 16, 16).flatten_index(1, 0, 0) == 256
-
-    def test_unflatten_examples(self):
-        assert PatchGrid(2, 16, 16).unflatten_index(0) == (0, 0, 0)
-        assert PatchGrid(2, 16, 16).unflatten_index(256) == (1, 0, 0)
-        assert PatchGrid(2, 3, 4).unflatten_index(23) == (1, 2, 3)
-
-    def test_round_trip_enumerates_all(self):
-        grid = PatchGrid(2, 3, 4)
-        seen = [
-            grid.flatten_index(v, i, j)
-            for v in range(2)
-            for i in range(3)
-            for j in range(4)
-        ]
-        assert seen == list(range(24))
-        for idx in range(24):
-            assert grid.flatten_index(*grid.unflatten_index(idx)) == idx
-
-    @pytest.mark.parametrize(
-        "coords,axis", [((2, 0, 0), "view"), ((0, 3, 0), "row"), ((0, 0, 4), "col")]
-    )
-    def test_range_error_names_axis(self, coords, axis):
-        with pytest.raises(GridRangeError, match=axis):
-            PatchGrid(2, 3, 4).flatten_index(*coords)
-
-    def test_unflatten_out_of_range(self):
-        with pytest.raises(GridRangeError):
-            PatchGrid(1, 2, 2).unflatten_index(4)
-
     def test_degenerate_dims_rejected(self):
         with pytest.raises(ParameterError):
             PatchGrid(0, 4, 4)
         with pytest.raises(ParameterError):
             PatchGrid(1, 4, 0)
-
-    @given(grids, st.data())
-    def test_round_trip_property(self, grid, data):
-        v = data.draw(st.integers(0, grid.views - 1))
-        i = data.draw(st.integers(0, grid.height - 1))
-        j = data.draw(st.integers(0, grid.width - 1))
-        idx = grid.flatten_index(v, i, j)
-        assert 0 <= idx < grid.total
-        assert grid.unflatten_index(idx) == (v, i, j)
 
 
 class TestBinaryMask:
@@ -132,6 +88,22 @@ class TestBinaryMask:
         assert mask.token_indices().tolist() == [0, 7, 17]
         assert mask.count() == 3
 
+    def test_token_order_view_major_row_major(self):
+        # token index = view * height * width + row * width + col
+        grid = PatchGrid(2, 16, 16)
+        assert np.argwhere(BinaryMask.from_token_indices(grid, [256]).bits).tolist() == [[1, 0, 0]]
+        bits = np.zeros((2, 3, 4), dtype=bool)
+        bits[1, 2, 3] = bits[0, 1, 0] = True
+        assert BinaryMask(PatchGrid(2, 3, 4), bits).token_indices().tolist() == [4, 23]
+
+    @given(grids, st.data())
+    def test_token_order_property(self, grid, data):
+        cell = tuple(data.draw(st.integers(0, n - 1)) for n in grid.shape)
+        idx = np.ravel_multi_index(cell, grid.shape)
+        mask = BinaryMask.from_token_indices(grid, [idx])
+        assert mask.count() == 1 and mask.bits[cell]
+        assert mask.token_indices().tolist() == [idx]
+
     def test_view_plane(self):
         grid = PatchGrid(2, 2, 2)
         mask = BinaryMask.from_token_indices(grid, [5])
@@ -139,17 +111,6 @@ class TestBinaryMask:
         assert mask.view(1)[0, 1]
         with pytest.raises(GridRangeError):
             mask.view(2)
-
-
-class TestDensityMap:
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ParameterError):
-            DensityMap(PatchGrid(1, 2, 2), -np.ones((1, 2, 2), dtype=np.int64))
-
-    def test_counts_frozen(self):
-        dm = DensityMap(PatchGrid(1, 2, 2), np.zeros((1, 2, 2), dtype=np.int64))
-        with pytest.raises(ValueError):
-            dm.counts[0, 0, 0] = 1
 
 
 class TestRngState:
@@ -171,10 +132,6 @@ class TestRngState:
     def test_counter_addressing_is_offset_stable(self):
         rng = RngState(9)
         assert np.array_equal(rng.values(100, 50), rng.values(0, 150)[100:])
-
-    def test_value_at(self):
-        rng = RngState(4)
-        assert rng.value_at(3) == int(rng.values(0, 10)[3])
 
     def test_uniform_index_bounds(self):
         rng = RngState(77)

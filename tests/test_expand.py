@@ -38,11 +38,11 @@ class TestExpandParams:
 class TestDensityMap:
     def test_zero_mask_zero_map(self):
         grid = PatchGrid(1, 4, 4)
-        assert density_map(BinaryMask.zeros(grid), 3).counts.sum() == 0
+        assert density_map(BinaryMask.zeros(grid), 3).sum() == 0
 
     def test_single_bit_block(self):
         grid = PatchGrid(1, 4, 4)
-        counts = density_map(mask_from_cells(grid, [(0, 1, 1)]), 3).counts
+        counts = density_map(mask_from_cells(grid, [(0, 1, 1)]), 3)
         expected = np.zeros((1, 4, 4), dtype=np.int64)
         expected[0, :3, :3] = 1
         assert np.array_equal(counts, expected)
@@ -50,7 +50,7 @@ class TestDensityMap:
     def test_two_bits_match_sliding_window(self):
         grid = PatchGrid(1, 5, 5)
         mask = mask_from_cells(grid, [(0, 1, 1), (0, 1, 2)])
-        counts = density_map(mask, 3).counts
+        counts = density_map(mask, 3)
         assert np.array_equal(counts, oracles.density_counts(mask.bits, 3))
         assert counts[0, 1, 1] == 2
         assert counts[0, 3, 4] == 0
@@ -59,23 +59,29 @@ class TestDensityMap:
         with pytest.raises(ParameterError):
             density_map(BinaryMask.zeros(PatchGrid(1, 3, 3)), 2)
 
+    def test_counts_frozen(self):
+        counts = density_map(BinaryMask.zeros(PatchGrid(1, 2, 2)), 3)
+        assert counts.dtype == np.int64 and counts.shape == (1, 2, 2)
+        with pytest.raises(ValueError):
+            counts[0, 0, 0] = 1
+
     def test_counts_capped_by_window(self):
         grid = PatchGrid(1, 6, 6)
         full = BinaryMask(grid, np.ones(grid.shape, dtype=bool))
-        counts = density_map(full, 3).counts
+        counts = density_map(full, 3)
         assert counts.max() == 9
         assert counts[0, 0, 0] == 4  # corner window is clipped
 
     def test_views_do_not_bleed(self):
         grid = PatchGrid(2, 4, 4)
-        counts = density_map(mask_from_cells(grid, [(0, 3, 3)]), 3).counts
+        counts = density_map(mask_from_cells(grid, [(0, 3, 3)]), 3)
         assert counts[1].sum() == 0
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 5]))
     @settings(max_examples=25, deadline=None)
     def test_matches_oracle(self, seed, k):
         mask = random_mask(PatchGrid(2, 6, 7), 0.2, seed)
-        assert np.array_equal(density_map(mask, k).counts, oracles.density_counts(mask.bits, k))
+        assert np.array_equal(density_map(mask, k), oracles.density_counts(mask.bits, k))
 
 
 class TestExpandMask:
@@ -112,7 +118,7 @@ class TestExpandMask:
         # F is an integer count, so 0 < F < 1 is empty: at the default
         # threshold only the dense rule runs and the seed is irrelevant
         mask = random_mask(PatchGrid(views, h, w), fill, seed)
-        counts = density_map(mask, k).counts
+        counts = density_map(mask, k)
         assert not ((counts > 0) & (counts < 1)).any()
         out = expand_mask(mask, ExpandParams(k, 1), RngState(seed))
         assert np.array_equal(out.bits, oracles.dense_region(mask.bits, k, 1))
@@ -199,7 +205,7 @@ class TestExpandMask:
             seeds = mask_from_cells(grid, [block[c] for c in chosen])
             out = expand_mask(seeds, params, RngState(trial))
             ref = oracles.expand_bits(seeds.bits, 3, 1, RngState(trial))
-            block_idx = [grid.flatten_index(*cell) for cell in block]
+            block_idx = np.ravel_multi_index(tuple(np.transpose(block)), grid.shape).tolist()
             got = set(out.token_indices().tolist())
             want = set(np.flatnonzero(ref.reshape(-1)).tolist())
             recalls.append(len(got & set(block_idx)) / len(block_idx))

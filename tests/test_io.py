@@ -36,6 +36,7 @@ class TestTokenContainer:
         assert path.stat().st_size == 12 + 4 * 6
         got = read_tokens(path)
         assert np.array_equal(got, m) and got.dtype == np.float32
+        assert got.flags.writeable and got.flags.owndata  # a private copy, not the file buffer
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.tkb"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import oracles
 from tokpress.core import ParameterError, ShapeError
 from tokpress.merge import (
+    EPSILON,
     MergeParams,
     match_logits,
     match_weights,
@@ -39,13 +40,9 @@ class TestMergeParams:
         with pytest.raises(ParameterError):
             MergeParams(mode="fuzzy")
 
-    def test_bad_epsilon(self):
-        with pytest.raises(ParameterError):
-            MergeParams(epsilon=0.0)
-
     def test_defaults(self):
         p = MergeParams()
-        assert p.m == 80 and p.mode == "soft" and p.epsilon == 1e-6
+        assert p.m == 80 and p.mode == "soft" and EPSILON == 1e-6
 
 
 class TestRmsNorm:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from tokpress.core import ParameterError, PatchGrid, RngState, ShapeError
@@ -214,3 +216,46 @@ class TestRunPipeline:
         assert deterministic <= set(ra.kept_indices.tolist())
         assert deterministic <= set(rb.kept_indices.tolist())
         assert not (sym_diff & deterministic)
+
+    @pytest.mark.parametrize("shape,block", [((1, 8, 8), 5), ((1, 12, 12), 5), ((1, 1, 1), 1)])
+    def test_default_config_merges_to_kept_when_kept_below_m(self, shape, block):
+        load = generate_workload(WorkloadSpec(grid=PatchGrid(*shape), block_size=(block, block)))
+        result = run_pipeline(load.e_img, load.e_lang, load.guidance, load.grid, CompressionConfig())
+        rep = result.report
+        assert rep.keep_size < 80 and rep.merged_away == 0
+        assert (rep.schedule.visual_counts == rep.keep_size).all()
+        assert np.array_equal(result.compressed[: rep.keep_size], result.kept)
+
+    @given(
+        st.integers(1, 2),
+        st.integers(1, 10),
+        st.integers(1, 10),
+        st.sampled_from([1, 3, 5]),
+        st.integers(0, 3),
+        st.floats(0.0, 1.0),
+        st.integers(1, 120),
+        st.sampled_from(["soft", "hard"]),
+        st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_accounting_property(self, views, h, w, k, tau, fraction, m, mode, seed):
+        grid = PatchGrid(views, h, w)
+        block = min(h, w, 3)
+        load = generate_workload(WorkloadSpec(grid=grid, block_size=(1, block), seed=seed % 1000))
+        config = CompressionConfig(
+            expand=ExpandParams(k, tau),
+            context_fraction=fraction,
+            merge=MergeParams(m=m, mode=mode),
+            seed=seed,
+        )
+        a = run_pipeline(load.e_img, load.e_lang, load.guidance, grid, config)
+        b = run_pipeline(load.e_img, load.e_lang, load.guidance, grid, config)
+        rep = a.report
+        final = min(rep.keep_size, m)
+        assert rep.keep_size + rep.pruned == grid.total
+        assert int(rep.schedule.visual_counts[-1]) == final == a.merge.tokens_after
+        assert rep.merged_away == rep.keep_size - final
+        assert (np.diff(rep.schedule.visual_counts) <= 0).all()
+        assert a.compressed.shape[0] == final + rep.schedule.non_visual
+        assert a.compressed.tobytes() == b.compressed.tobytes()
+        assert a.kept_indices.tobytes() == b.kept_indices.tobytes()
