@@ -71,6 +71,24 @@ class TestPatchGrid:
         with pytest.raises(ParameterError):
             PatchGrid(1, 4, 0)
 
+    # Token order is view-major, then row-major:
+    # token index = view * height * width + row * width + col.
+    def test_flatten_second_view(self):
+        bits = np.zeros((2, 16, 16), dtype=bool)
+        bits[1, 0, 0] = True
+        assert BinaryMask(PatchGrid(2, 16, 16), bits).token_indices().tolist() == [256]
+        bits = np.zeros((2, 3, 4), dtype=bool)
+        bits[1, 2, 3] = bits[0, 1, 0] = True
+        assert BinaryMask(PatchGrid(2, 3, 4), bits).token_indices().tolist() == [4, 23]
+
+    def test_unflatten_examples(self):
+        def cells(grid, index):
+            return np.argwhere(BinaryMask.from_token_indices(grid, [index]).bits).tolist()
+
+        assert cells(PatchGrid(2, 16, 16), 256) == [[1, 0, 0]]
+        assert cells(PatchGrid(2, 3, 4), 23) == [[1, 2, 3]]
+        assert cells(PatchGrid(2, 3, 4), 4) == [[0, 1, 0]]
+
 
 class TestBinaryMask:
     def test_shape_mismatch(self):
@@ -87,14 +105,6 @@ class TestBinaryMask:
         mask = BinaryMask.from_token_indices(grid, [0, 7, 17])
         assert mask.token_indices().tolist() == [0, 7, 17]
         assert mask.count() == 3
-
-    def test_token_order_view_major_row_major(self):
-        # token index = view * height * width + row * width + col
-        grid = PatchGrid(2, 16, 16)
-        assert np.argwhere(BinaryMask.from_token_indices(grid, [256]).bits).tolist() == [[1, 0, 0]]
-        bits = np.zeros((2, 3, 4), dtype=bool)
-        bits[1, 2, 3] = bits[0, 1, 0] = True
-        assert BinaryMask(PatchGrid(2, 3, 4), bits).token_indices().tolist() == [4, 23]
 
     @given(grids, st.data())
     def test_token_order_property(self, grid, data):
