@@ -44,6 +44,7 @@ CONFIG_KEYS = {
     "per_view_anchors": (None, "per_view_anchors", "boolean"),
 }
 _JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "boolean": bool}
+_GROUPS = {None: CompressionConfig, "expand": ExpandParams, "merge": MergeParams}
 
 SEED_ENV = "TEAMC_SEED"
 
@@ -52,8 +53,8 @@ def load_config(path=None) -> CompressionConfig:
     """Build a CompressionConfig from a JSON file; missing keys take its defaults.
 
     Unknown keys and values of the wrong JSON type are rejected so typos
-    fail loudly; range checks are the dataclasses' own. TEAMC_SEED in the
-    environment beats the file's seed.
+    fail loudly; range checks are the dataclasses' own, and their errors
+    name the JSON key. TEAMC_SEED in the environment beats the file's seed.
     """
     raw = {}
     if path is not None:
@@ -76,6 +77,13 @@ def load_config(path=None) -> CompressionConfig:
         # bool is a subclass of int in Python, but JSON true/false is no number
         if not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool) != (kind == "boolean"):
             raise ParameterError(f"config key {key} must be a JSON {kind}, got {value!r}")
+        if name != key:
+            # the range check's message names the field; run it on this value
+            # alone so the error can name the key
+            try:
+                _GROUPS[group](**{name: value})
+            except ParameterError as exc:
+                raise ParameterError(f"config key {key}: {exc}") from None
         fields[group][name] = value
     return CompressionConfig(
         expand=ExpandParams(**fields["expand"]), merge=MergeParams(**fields["merge"]), **fields[None]

@@ -131,7 +131,6 @@ class BinaryMask:
         return self.bits[v]
 
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
@@ -148,6 +147,11 @@ class RngState:
     consumed from shared state; callers may key draws to fixed positions
     (e.g. one slot per grid cell), so results do not depend on how much of
     the counter space other cells used.
+
+    A uniform draw in [0, n) is ``x % n`` for the first word ``x`` of its
+    slots that passes the rejection test ``x < (2**64 // n) * n``
+    (``_accepts``). Batch callers (the sparse flips of ``expand_mask``) test
+    their first words with it and call :meth:`uniform_index` only on a miss.
     """
 
     seed: int
@@ -159,16 +163,19 @@ class RngState:
         if not 0 <= self.seed < 2**64:
             raise ParameterError("seed must be an unsigned 64-bit integer")
 
+    def _draws(self, counters: np.ndarray) -> np.ndarray:
+        # the one copy of the splitmix64 arithmetic: draw t for each uint64 counter t
+        with np.errstate(over="ignore"):
+            z = np.uint64(self.seed) + (counters + np.uint64(1)) * _GOLDEN
+            z = (z ^ (z >> np.uint64(30))) * _MIX_A
+            z = (z ^ (z >> np.uint64(27))) * _MIX_B
+            return z ^ (z >> np.uint64(31))
+
     def values(self, start: int, count: int) -> np.ndarray:
         """Draws at counters ``start .. start + count - 1`` as uint64."""
         if start < 0 or count < 0:
             raise ParameterError("counter start and count must be non-negative")
-        with np.errstate(over="ignore"):
-            counters = (np.arange(count, dtype=np.uint64) + np.uint64(start + 1)) & _MASK64
-            z = np.uint64(self.seed) + counters * _GOLDEN
-            z = (z ^ (z >> np.uint64(30))) * _MIX_A
-            z = (z ^ (z >> np.uint64(27))) * _MIX_B
-            return z ^ (z >> np.uint64(31))
+        return self._draws(np.arange(count, dtype=np.uint64) + np.uint64(start))
 
     def uniform_index(self, counter_base: int, n: int) -> int:
         """Uniform draw in [0, n), bias-free via rejection sampling.
@@ -180,12 +187,16 @@ class RngState:
         """
         if n <= 0:
             raise ParameterError("uniform_index needs n >= 1")
-        span = (2**64 // n) * n
-        words = self.values(counter_base, self.DRAW_SLOTS)
+        words = self.values(counter_base, self.DRAW_SLOTS).tolist()
         for w in words:
-            if int(w) < span:
-                return int(w) % n
-        return int(words[-1]) % n  # unreachable for any realistic n
+            if _accepts(w, n):
+                return w % n
+        return words[-1] % n  # unreachable for any realistic n
+
+
+def _accepts(word: int, n: int) -> bool:
+    """Rejection test of a uniform draw in [0, n): ``word % n`` is unbiased below the span."""
+    return word < (2**64 // n) * n
 
 
 class CounterStream:

@@ -6,6 +6,12 @@ Cells whose count clears a threshold get their entire window set (a plain
 morphological dilation); cells with a small positive count instead flip one
 extra unset cell in their window, chosen by a seeded draw, which lets thin
 or fragmented regions grow without committing to a full dilation.
+
+The sparse flips are order-dependent (a flip changes what later windows see
+as unset), so they run as one pass in scan order. Everything that does not
+depend on that order is set up in numpy once per call: every sparse cell's
+window as flat token indices, and its first keyed draw; the pass itself is
+plain Python over flat lists.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .core import BinaryMask, ParameterError, RngState
+from .core import BinaryMask, ParameterError, RngState, _accepts
 
 
 @dataclass(frozen=True)
@@ -47,12 +53,6 @@ def density_map(mask: BinaryMask, kernel_size: int) -> np.ndarray:
     return counts
 
 
-def _window(center: int, k: int, size: int) -> tuple[int, int]:
-    # inclusive-exclusive bounds of the k-window clipped to [0, size)
-    half = k // 2
-    return max(0, center - half), min(size, center + half + 1)
-
-
 def expand_mask(mask: BinaryMask, params: ExpandParams, rng: RngState) -> BinaryMask:
     """Grow ``mask`` by the dense and sparse expansion rules.
 
@@ -74,6 +74,11 @@ def expand_mask(mask: BinaryMask, params: ExpandParams, rng: RngState) -> Binary
     Flip draws are keyed to the in-view cell coordinates of the sparse cell
     (the view index is excluded), so expanding a stacked multi-view mask
     equals expanding each view separately with the same rng.
+
+    The flips are set up once per call: each sparse cell's window as flat
+    token indices in row-major order (-1 outside the view) and the first
+    word of its keyed draw. One pass over the cells in scan order then
+    flips bits of a flat list, so the per-cell work is a list scan.
     """
     grid = mask.grid
     k, tau = params.kernel_size, params.threshold
@@ -85,14 +90,25 @@ def expand_mask(mask: BinaryMask, params: ExpandParams, rng: RngState) -> Binary
         structure = np.ones((1, k, k), dtype=bool)
         out |= ndimage.binary_dilation(dense, structure=structure)
 
-    sparse = (counts > 0) & (counts < tau)
-    for v, i, j in np.argwhere(sparse):
-        r0, r1 = _window(i, k, grid.height)
-        c0, c1 = _window(j, k, grid.width)
-        unset = np.argwhere(~out[v, r0:r1, c0:c1])
-        if len(unset) == 0:
-            continue
-        pick = rng.uniform_index((i * grid.width + j) * RngState.DRAW_SLOTS, len(unset))
-        out[v, r0 + unset[pick, 0], c0 + unset[pick, 1]] = True
+    v, i, j = np.nonzero((counts > 0) & (counts < tau))  # view-major, row-major scan order
+    if v.size == 0:
+        return BinaryMask(grid, out)
 
-    return BinaryMask(grid, out)
+    offsets = np.arange(k) - k // 2
+    rows = i[:, None] + offsets  # (cells, k)
+    cols = j[:, None] + offsets
+    in_rows = (rows >= 0) & (rows < grid.height)
+    in_cols = (cols >= 0) & (cols < grid.width)
+    flat = (v[:, None, None] * grid.height + rows[:, :, None]) * grid.width + cols[:, None, :]
+    windows = np.where(in_rows[:, :, None] & in_cols[:, None, :], flat, -1).reshape(v.size, k * k)
+    keys = (i * grid.width + j) * RngState.DRAW_SLOTS
+    words = rng._draws(keys.astype(np.uint64))
+
+    bits = out.reshape(-1).tolist()
+    for win, key, word in zip(windows.tolist(), keys.tolist(), words.tolist()):
+        unset = [p for p in win if p >= 0 and not bits[p]]
+        if not unset:
+            continue
+        n = len(unset)
+        bits[unset[word % n if _accepts(word, n) else rng.uniform_index(key, n)]] = True
+    return BinaryMask(grid, np.array(bits, dtype=bool).reshape(grid.shape))

@@ -123,6 +123,13 @@ def prune_stage(e_img, e_lang, grid: PatchGrid, config: CompressionConfig):
     return _prune(e_img, token_matrix(e_lang, name="e_lang"), grid, config)
 
 
+def _guidance(guidance) -> np.ndarray:
+    guidance = token_matrix(guidance, name="guidance")
+    if guidance.shape[0] == 0:
+        raise ShapeError("guidance: merge scoring needs at least one guidance row, got 0")
+    return guidance
+
+
 def _range_bounds(visual_range, n_rows: int) -> tuple[int, int]:
     if isinstance(visual_range, range):
         if visual_range.step != 1:
@@ -157,10 +164,11 @@ def merge_stage(hidden, guidance, visual_range, config: CompressionConfig):
     ``visual_range`` is the contiguous (start, stop) row span holding visual
     tokens; rows outside it pass through untouched. Returns the shortened
     sequence and the MergeReport (source positions are absolute row indices
-    of the input sequence). An m larger than the span raises ParameterError.
+    of the input sequence). An m larger than the span raises ParameterError,
+    and guidance with no rows raises ShapeError.
     """
     hidden = token_matrix(hidden, name="hidden")
-    guidance = token_matrix(guidance, name="guidance")
+    guidance = _guidance(guidance)
     return _merge(hidden, guidance, visual_range, config, config.merge.m)
 
 
@@ -171,9 +179,10 @@ def run_pipeline(e_img, e_lang, guidance, grid: PatchGrid, config: CompressionCo
     tokens]; only the visual span is merged, to min(kept, m) sources, so a
     scene that keeps fewer than m tokens passes through unmerged. The
     schedule holds the kept count up to merge_layer and the merged count
-    from there on.
+    from there on. Guidance with no rows raises ShapeError before stage one
+    runs.
     """
-    guidance = token_matrix(guidance, name="guidance")
+    guidance = _guidance(guidance)
     e_lang = token_matrix(e_lang, name="e_lang")
 
     t0 = time.perf_counter()

@@ -9,7 +9,11 @@ from tokpress.core import ParameterError
 from tokpress.expand import ExpandParams
 from tokpress.merge import MergeParams
 from tokpress.pipeline import CompressionConfig, prune_stage
-from tokpress.tokenfile import read_tokens
+from tokpress.tokenfile import read_tokens, write_tokens
+
+
+# range errors of keys whose CompressionConfig fields are named otherwise (threshold, m)
+RANGE_ERRORS = [('{"tau": -1}', "tau"), ('{"top_m": 0}', "top_m")]
 
 
 def report_dict(captured: str) -> dict:
@@ -87,6 +91,13 @@ class TestConfig:
         path = tmp_path / "c.json"
         path.write_text(text)
         with pytest.raises(ParameterError, match=key):
+            load_config(path)
+
+    @pytest.mark.parametrize("text,key", RANGE_ERRORS)
+    def test_range_error_names_key(self, tmp_path, text, key):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(ParameterError, match=f"config key {key}:"):
             load_config(path)
 
     def test_integer_context_fraction_loads(self, tmp_path):
@@ -403,6 +414,37 @@ class TestErrorPaths:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("text,key", RANGE_ERRORS)
+    def test_prune_range_error_names_key(self, tmp_path, workload_dir, capsys, text, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        code = main(
+            [
+                "prune",
+                "--tokens", str(workload_dir / "img.tkb"),
+                "--lang", str(workload_dir / "lang.tkb"),
+                "--grid", "2x16x16",
+                "--config", str(cfg),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: config key {key}:")
+
+    def test_pipeline_empty_guidance(self, tmp_path, workload_dir, capsys):
+        empty = tmp_path / "guidance0.tkb"
+        write_tokens(np.zeros((0, 64), dtype=np.float32), empty)
+        code = main(
+            [
+                "pipeline",
+                "--tokens", str(workload_dir / "img.tkb"),
+                "--lang", str(workload_dir / "lang.tkb"),
+                "--guidance", str(empty),
+                "--grid", "2x16x16",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: guidance:")
 
     def test_unknown_subcommand_usage_exit(self):
         with pytest.raises(SystemExit) as exc:

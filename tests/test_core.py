@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import splitmix
 from tokpress.core import (
     BinaryMask,
     CounterStream,
@@ -11,6 +12,7 @@ from tokpress.core import (
     PatchGrid,
     RngState,
     ShapeError,
+    _accepts,
     index_set,
     token_matrix,
 )
@@ -158,6 +160,26 @@ class TestRngState:
     def test_uniform_index_invalid_n(self):
         with pytest.raises(ParameterError):
             RngState(0).uniform_index(0, 0)
+
+    def test_draws_match_integer_splitmix64(self):
+        # the standard splitmix64 stream for seed 0 starts e220a839..., 6e789e6a...
+        assert RngState(0).values(0, 2).tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+        for seed in (0, 1, 2**63 + 5, 2**64 - 1):
+            rng = RngState(seed)
+            assert rng.values(37, 5).tolist() == [splitmix.draw(seed, t) for t in range(37, 42)]
+
+    def test_rejection_rule(self):
+        # for n = 3 the span is (2**64 // 3) * 3 = 2**64 - 1, so the top word is refused
+        assert not _accepts(2**64 - 1, 3)
+        assert _accepts(2**64 - 2, 3)
+        assert _accepts(2**64 - 1, 1) and _accepts(2**64 - 1, 2)  # powers of two: no bias
+
+    def test_rejected_word_falls_through_to_next(self):
+        seed = splitmix.seed_with_draw(32, 2**64 - 1)
+        rng = RngState(seed)
+        first, second = rng.values(32, 2).tolist()
+        assert first == 2**64 - 1 and _accepts(second, 3)
+        assert rng.uniform_index(32, 3) == second % 3 != first % 3
 
 
 class TestCounterStream:

@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import splitmix
 from tokpress.core import BinaryMask, ParameterError, PatchGrid, RngState
 from tokpress.expand import ExpandParams, density_map, expand_mask
+from tokpress.similarity import anchor_mask
+from tokpress.workload import WorkloadSpec, generate_workload
 
 
 def mask_from_cells(grid, cells):
@@ -212,3 +215,44 @@ class TestExpandMask:
             oracle_recalls.append(len(want & set(block_idx)) / len(block_idx))
         assert recalls == oracle_recalls
         assert np.mean(recalls) >= np.mean(oracle_recalls)
+
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.sampled_from([1, 3, 5, 7]),
+        st.integers(1, 3),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.floats(0.0, 0.5),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sparse_flips_match_oracle(self, seed, k, views, h, w, fill, data):
+        # tau >= 2 so the flip rule can fire; grids may be smaller than the window
+        tau = data.draw(st.integers(2, max(2, k * k)), label="tau")
+        mask = random_mask(PatchGrid(views, h, w), fill, seed % 2**32)
+        out = expand_mask(mask, ExpandParams(k, tau), RngState(seed))
+        assert np.array_equal(out.bits, oracles.expand_bits(mask.bits, k, tau, RngState(seed)))
+
+    def test_rejected_first_word_falls_back_like_the_oracle(self):
+        # on 3x3 with the center set, every cell is sparse at tau=2 and cell
+        # (0, 0) sees 3 unset cells; its first word 2**64 - 1 fails the n = 3
+        # rejection test, so the pick comes from the next word (index 1),
+        # not from (2**64 - 1) % 3 = 0
+        grid = PatchGrid(1, 3, 3)
+        mask = mask_from_cells(grid, [(0, 1, 1)])
+        rng = RngState(splitmix.seed_with_draw(0, 2**64 - 1))
+        out = expand_mask(mask, ExpandParams(3, 2), rng)
+        assert np.array_equal(out.bits, oracles.expand_bits(mask.bits, 3, 2, rng))
+        assert out.bits.all()  # taking index 0 leaves (0, 0, 2) unset
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wide_sparse_scene_flips_and_matches_oracle(self, seed):
+        # the benchmark's wide-sparse scene make-up: 3x24x24, four 3x3 to 5x5
+        # blocks, k=5, tau=6, about 160 sparse cells per scene
+        load = generate_workload(
+            WorkloadSpec(grid=PatchGrid(3, 24, 24), blocks=4, block_size=(3, 5), embed_dim=128, seed=seed)
+        )
+        anchors = anchor_mask(load.e_lang, load.e_img, load.grid)
+        out = expand_mask(anchors, ExpandParams(5, 6), RngState(seed))
+        assert np.array_equal(out.bits, oracles.expand_bits(anchors.bits, 5, 6, RngState(seed)))
+        assert out.count() > int(oracles.dense_region(anchors.bits, 5, 6).sum())  # a flip fired

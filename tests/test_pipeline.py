@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from tokpress import pipeline
 from tokpress.core import ParameterError, PatchGrid, RngState, ShapeError
 from tokpress.expand import ExpandParams
 from tokpress.merge import MergeParams
@@ -149,6 +150,11 @@ class TestMergeStage:
         with pytest.raises(ParameterError):
             merge_stage(load.e_img[:50], load.guidance, (0, 50), goal_long())
 
+    def test_empty_guidance(self):
+        load = load_2view(9)
+        with pytest.raises(ShapeError, match="guidance"):
+            merge_stage(load.e_img[:50], load.guidance[:0], (0, 50), goal_long(merge=MergeParams(m=8)))
+
     def test_range_forms(self):
         load = load_2view(10)
         config = goal_long(merge=MergeParams(m=16))
@@ -216,6 +222,15 @@ class TestRunPipeline:
         assert deterministic <= set(ra.kept_indices.tolist())
         assert deterministic <= set(rb.kept_indices.tolist())
         assert not (sym_diff & deterministic)
+
+    def test_empty_guidance_rejected_before_stage_one(self, monkeypatch):
+        def stage_one(*args):
+            raise AssertionError("stage one ran")
+
+        monkeypatch.setattr(pipeline, "_prune", stage_one)
+        load = load_2view(15)
+        with pytest.raises(ShapeError, match="guidance"):
+            run_pipeline(load.e_img, load.e_lang, load.guidance[:0], load.grid, goal_long())
 
     @pytest.mark.parametrize("shape,block", [((1, 8, 8), 5), ((1, 12, 12), 5), ((1, 1, 1), 1)])
     def test_default_config_merges_to_kept_when_kept_below_m(self, shape, block):
