@@ -13,6 +13,7 @@ environment variable TEAMC_SEED, when set, overrides it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -342,7 +343,10 @@ def _add_report_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", help="also write the report as JSON to this file")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main() call and reused: construction costs more than
+    # a small pipeline run, while parse_args returns a fresh Namespace per call
     parser = argparse.ArgumentParser(prog="tokpress", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -424,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, IndexError, OSError) as exc:

@@ -117,17 +117,26 @@ def prune_stage(e_img, e_lang, grid: PatchGrid, config: CompressionConfig):
     """Stage one: anchors -> expansion -> context union -> row selection.
 
     Returns (kept tokens, kept indices, PruneReport). Kept rows preserve
-    their original relative order.
+    their original relative order. Language tokens with no rows raise
+    ShapeError before any step runs.
     """
     e_img = token_matrix(e_img, name="e_img")
-    return _prune(e_img, token_matrix(e_lang, name="e_lang"), grid, config)
+    return _prune(e_img, _language(e_lang), grid, config)
+
+
+def _rows(tokens, name: str, need: str) -> np.ndarray:
+    tokens = token_matrix(tokens, name=name)
+    if tokens.shape[0] == 0:
+        raise ShapeError(f"{name}: {need}, got 0")
+    return tokens
+
+
+def _language(e_lang) -> np.ndarray:
+    return _rows(e_lang, "e_lang", "anchor voting needs at least one language row")
 
 
 def _guidance(guidance) -> np.ndarray:
-    guidance = token_matrix(guidance, name="guidance")
-    if guidance.shape[0] == 0:
-        raise ShapeError("guidance: merge scoring needs at least one guidance row, got 0")
-    return guidance
+    return _rows(guidance, "guidance", "merge scoring needs at least one guidance row")
 
 
 def _range_bounds(visual_range, n_rows: int) -> tuple[int, int]:
@@ -179,11 +188,11 @@ def run_pipeline(e_img, e_lang, guidance, grid: PatchGrid, config: CompressionCo
     tokens]; only the visual span is merged, to min(kept, m) sources, so a
     scene that keeps fewer than m tokens passes through unmerged. The
     schedule holds the kept count up to merge_layer and the merged count
-    from there on. Guidance with no rows raises ShapeError before stage one
-    runs.
+    from there on. Language tokens or guidance with no rows raise
+    ShapeError (language first) before stage one runs.
     """
+    e_lang = _language(e_lang)
     guidance = _guidance(guidance)
-    e_lang = token_matrix(e_lang, name="e_lang")
 
     t0 = time.perf_counter()
     kept, kept_idx, prune_rep = _prune(token_matrix(e_img, name="e_img"), e_lang, grid, config)

@@ -1,14 +1,23 @@
+import argparse
+import contextlib
 import dataclasses
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tokpress.cli import CONFIG_KEYS, load_config, main, parse_grid, parse_schedule
+from scenes import small_scenes
+from tokpress import cli
+from tokpress.cli import CONFIG_KEYS, SEED_ENV, load_config, main, parse_grid, parse_schedule
 from tokpress.core import ParameterError
 from tokpress.expand import ExpandParams
 from tokpress.merge import MergeParams
-from tokpress.pipeline import CompressionConfig, prune_stage
+from tokpress.pipeline import CompressionConfig, prune_stage, run_pipeline
 from tokpress.tokenfile import read_tokens, write_tokens
 
 
@@ -446,6 +455,23 @@ class TestErrorPaths:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: guidance:")
 
+    @pytest.mark.parametrize(
+        "command,guidance", [("pipeline", False), ("pipeline", True), ("prune", False)]
+    )
+    def test_empty_language_names_e_lang(self, tmp_path, workload_dir, capsys, command, guidance):
+        empty = tmp_path / "lang0.tkb"
+        write_tokens(np.zeros((0, 64), dtype=np.float32), empty)
+        argv = [
+            command,
+            "--tokens", str(workload_dir / "img.tkb"),
+            "--lang", str(empty),
+            "--grid", "2x16x16",
+        ]  # fmt: skip
+        if guidance:
+            argv += ["--guidance", str(workload_dir / "guidance.tkb")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: e_lang:")
+
     def test_unknown_subcommand_usage_exit(self):
         with pytest.raises(SystemExit) as exc:
             main(["compress"])
@@ -468,3 +494,136 @@ class TestErrorPaths:
         code = main(["bench", "--stage", "expand", "--reps", "0"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestRepeatedCalls:
+    """``main`` reuses one parser per process; no call may see another's state."""
+
+    @staticmethod
+    def call(argv, files):
+        # exit code, stdout and stderr of one main call, plus the bytes of the
+        # files it wrote (removed afterwards so the next call starts clean)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+        written = {}
+        for path in files:
+            if path.exists():
+                written[path.name] = path.read_bytes()
+                path.unlink()
+        return code, out.getvalue(), err.getvalue(), written
+
+    @staticmethod
+    def untimed(result):
+        # wall times are the one part of a report that may differ between calls
+        code, out, err, written = result
+        out = [line for line in out.splitlines() if not line.startswith("time_")]
+        written = dict(written)
+        if "report.json" in written:
+            payload = json.loads(written["report.json"])
+            written["report.json"] = {k: v for k, v in payload.items() if not k.startswith("time_")}
+        return code, out, err, written
+
+    @staticmethod
+    def inputs(d: Path, stage: str = "pipeline") -> list[str]:
+        return [stage, "--tokens", str(d / "img.tkb"), "--lang", str(d / "lang.tkb")]
+
+    def test_calls_match_a_freshly_built_parser(
+        self, workload_dir, config_path, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv(SEED_ENV, raising=False)
+        files = (tmp_path / "out.tkb", tmp_path / "report.json")
+        outputs = ["--out", str(files[0]), "--json", str(files[1])]
+        pipe = self.inputs(workload_dir) + ["--grid", "2x16x16"] + outputs
+        guided = ["--guidance", str(workload_dir / "guidance.tkb")]
+        config = ["--config", str(config_path)]
+        calls = [
+            pipe + guided + ["--no-timing"],
+            pipe + ["--no-timing"],
+            pipe + guided + config,
+            self.inputs(workload_dir) + ["--bogus"],
+            pipe + config + ["--no-timing"],
+            ["pipeline", "--help"],
+            pipe + guided + ["--no-timing"],
+            self.inputs(workload_dir, "prune") + ["--grid", "2x16x16"] + config + outputs,
+            pipe,
+        ]
+        assert main(calls[0]) == 0  # the parser is warm before the sequence
+        reused = [self.call(argv, files) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(self.call(argv, files))
+
+        assert [r[0] for r in reused] == [0, 0, 0, ("exit", 2), 0, ("exit", 0), 0, 0, 0]
+        assert "time_prune_ms=" in reused[2][1] and "time_prune_ms=" not in reused[0][1]
+        # the previous call's --guidance does not carry over
+        assert reused[1][3]["out.tkb"] != reused[0][3]["out.tkb"]
+        assert reused[6] == reused[0]
+        for a, b in zip(reused, fresh):
+            assert self.untimed(a) == self.untimed(b)
+
+    def test_parser_built_once_per_process(self, workload_dir, monkeypatch, capsys):
+        pipe = self.inputs(workload_dir) + ["--grid", "2x16x16"]
+        assert main(pipe + ["--no-timing"]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(pipe) == 0
+        assert main(self.inputs(workload_dir, "prune") + ["--grid", "2x16x16"]) == 0
+        assert main(["cost", "--baseline", "flat:512", "--candidate", "flat:256"]) == 0
+        assert len(built) == 0
+        # the count does see a build: one parser per subcommand plus the top level
+        cli._parser.cache_clear()
+        assert main(["cost", "--baseline", "flat:512", "--candidate", "flat:256"]) == 0
+        assert len(built) == 8
+
+    @given(small_scenes(), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_pipeline_accounting_property(self, scene, guided):
+        load, config = scene
+        grid, m = load.grid, config.merge.m
+        guidance = load.guidance if guided else load.e_lang
+        groups = {None: config, "expand": config.expand, "merge": config.merge}
+        values = {key: getattr(groups[g], name) for key, (g, name, _) in CONFIG_KEYS.items()}
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.delenv(SEED_ENV, raising=False)
+            d = Path(tmp)
+            for name, rows in (("img", load.e_img), ("lang", load.e_lang), ("guidance", load.guidance)):
+                write_tokens(rows, d / f"{name}.tkb")
+            (d / "cfg.json").write_text(json.dumps(values))
+            files = (d / "out.tkb", d / "report.json")
+            argv = self.inputs(d) + [
+                "--grid", f"{grid.views}x{grid.height}x{grid.width}",
+                "--config", str(d / "cfg.json"),
+                "--out", str(files[0]),
+                "--json", str(files[1]),
+                "--no-timing",
+            ]  # fmt: skip
+            if guided:
+                argv += ["--guidance", str(d / "guidance.tkb")]
+            first, again = self.call(argv, files), self.call(argv, files)
+            result = run_pipeline(load.e_img, load.e_lang, guidance, grid, config)
+            write_tokens(result.compressed, d / "expected.tkb")
+            expected = (d / "expected.tkb").read_bytes()
+
+        code, out, err, written = first
+        assert (code, err) == (0, "")
+        rep = report_dict(out)
+        kept, final = int(rep["kept"]), int(rep["final_visual"])
+        assert kept + int(rep["pruned"]) == grid.total
+        assert final == min(kept, m)
+        non_visual = load.e_lang.shape[0] + guidance.shape[0]
+        assert int(rep["non_visual"]) == non_visual
+        assert int(rep["sequence_out"]) == final + non_visual
+        assert written["out.tkb"] == expected
+        assert json.loads(written["report.json"]) == rep
+        assert again == first

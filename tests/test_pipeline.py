@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
+from scenes import small_scenes
 from tokpress import pipeline
 from tokpress.core import ParameterError, PatchGrid, RngState, ShapeError
 from tokpress.expand import ExpandParams
@@ -86,6 +86,15 @@ class TestPruneStage:
         assert idx.tolist() == want
         assert np.array_equal(kept, load.e_img[want])
         assert rep.pruned == 512 - len(want)
+
+    def test_empty_language_rejected_before_stage_one(self, monkeypatch):
+        def stage_one(*args):
+            raise AssertionError("stage one ran")
+
+        monkeypatch.setattr(pipeline, "_prune", stage_one)
+        load = load_2view(15)
+        with pytest.raises(ShapeError, match="^e_lang:"):
+            prune_stage(load.e_img, load.e_lang[:0], load.grid, goal_long())
 
     def test_row_count_mismatch(self):
         load = load_2view(3)
@@ -232,6 +241,18 @@ class TestRunPipeline:
         with pytest.raises(ShapeError, match="guidance"):
             run_pipeline(load.e_img, load.e_lang, load.guidance[:0], load.grid, goal_long())
 
+    @pytest.mark.parametrize("guidance_rows", [None, 0])
+    def test_empty_language_rejected_before_stage_one(self, monkeypatch, guidance_rows):
+        # e_lang is checked first, so it is named also when the guidance is empty
+        def stage_one(*args):
+            raise AssertionError("stage one ran")
+
+        monkeypatch.setattr(pipeline, "_prune", stage_one)
+        load = load_2view(15)
+        guidance = load.guidance[:guidance_rows]
+        with pytest.raises(ShapeError, match="^e_lang:"):
+            run_pipeline(load.e_img, load.e_lang[:0], guidance, load.grid, goal_long())
+
     @pytest.mark.parametrize("shape,block", [((1, 8, 8), 5), ((1, 12, 12), 5), ((1, 1, 1), 1)])
     def test_default_config_merges_to_kept_when_kept_below_m(self, shape, block):
         load = generate_workload(WorkloadSpec(grid=PatchGrid(*shape), block_size=(block, block)))
@@ -241,28 +262,11 @@ class TestRunPipeline:
         assert (rep.schedule.visual_counts == rep.keep_size).all()
         assert np.array_equal(result.compressed[: rep.keep_size], result.kept)
 
-    @given(
-        st.integers(1, 2),
-        st.integers(1, 10),
-        st.integers(1, 10),
-        st.sampled_from([1, 3, 5]),
-        st.integers(0, 3),
-        st.floats(0.0, 1.0),
-        st.integers(1, 120),
-        st.sampled_from(["soft", "hard"]),
-        st.integers(0, 2**64 - 1),
-    )
+    @given(small_scenes())
     @settings(max_examples=30, deadline=None)
-    def test_accounting_property(self, views, h, w, k, tau, fraction, m, mode, seed):
-        grid = PatchGrid(views, h, w)
-        block = min(h, w, 3)
-        load = generate_workload(WorkloadSpec(grid=grid, block_size=(1, block), seed=seed % 1000))
-        config = CompressionConfig(
-            expand=ExpandParams(k, tau),
-            context_fraction=fraction,
-            merge=MergeParams(m=m, mode=mode),
-            seed=seed,
-        )
+    def test_accounting_property(self, scene):
+        load, config = scene
+        grid, m = load.grid, config.merge.m
         a = run_pipeline(load.e_img, load.e_lang, load.guidance, grid, config)
         b = run_pipeline(load.e_img, load.e_lang, load.guidance, grid, config)
         rep = a.report
