@@ -59,7 +59,10 @@ def load_config(path=None) -> CompressionConfig:
     """
     raw = {}
     if path is not None:
-        raw = json.loads(Path(path).read_text())
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ParameterError(f"{path}: not a JSON config: {exc}") from None
         if not isinstance(raw, dict):
             raise ParameterError(f"{path}: config must be a JSON object")
     unknown = sorted(set(raw) - set(CONFIG_KEYS))
@@ -120,6 +123,17 @@ def parse_schedule(text: str, layers: int, non_visual: int) -> TokenSchedule:
     raise ParameterError(f"bad schedule {text!r}, expected flat:N or step:KEPT,MERGED@LAYER")
 
 
+def _parse_span(text: str) -> tuple[int, int]:
+    """``START:STOP`` into a row span; the range itself is checked by ``merge_stage``."""
+    start, sep, stop = text.partition(":")
+    try:
+        if sep:
+            return int(start), int(stop)
+    except ValueError:
+        pass
+    raise ParameterError(f"bad visual span {text!r}, expected START:STOP")
+
+
 def _emit(lines, report_path=None, json_path=None) -> None:
     text = "".join(line + "\n" for line in lines)
     sys.stdout.write(text)
@@ -174,11 +188,7 @@ def _cmd_merge(args) -> int:
     config = load_config(args.config)
     hidden = read_tokens(args.tokens)
     guidance = read_tokens(args.guidance)
-    if args.visual:
-        start_s, _, stop_s = args.visual.partition(":")
-        span = (int(start_s), int(stop_s))
-    else:
-        span = (0, hidden.shape[0])
+    span = (0, hidden.shape[0]) if args.visual is None else _parse_span(args.visual)
     compressed, rep = merge_stage(hidden, guidance, span, config)
     if args.out:
         write_tokens(compressed, args.out)

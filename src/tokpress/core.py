@@ -46,6 +46,19 @@ def token_matrix(data, *, name: str = "tokens") -> np.ndarray:
     return arr
 
 
+def _tokens(data, name: str, width: int | None = None, nonempty: bool = False) -> np.ndarray:
+    """:func:`token_matrix` of one public input, plus the library's only width and empty-input checks.
+
+    Every message starts with ``name``; the kernels behind a public function trust the result.
+    """
+    arr = token_matrix(data, name=name)
+    if width is not None and arr.shape[1] != width:
+        raise ShapeError(f"{name}: embedding width {arr.shape[1]}, expected {width}")
+    if nonempty and arr.shape[0] == 0:
+        raise ShapeError(f"{name}: needs at least one row, got 0")
+    return arr
+
+
 def sq_norms(rows: np.ndarray) -> np.ndarray:
     """Squared norm of each row, in the rows' dtype; equal rows get equal norms."""
     return np.einsum("ij,ij->i", rows, rows)

@@ -6,9 +6,10 @@ matching matrix built from RMS-normalized dot products, and every source is
 then renormalized by the total weight it received, so well-matched sources
 move toward the targets they absorbed while poorly-matched ones stay put.
 
-The public functions validate their inputs once and call private kernels
-that take float64 rows with their squared norms, which ``merge_stage``
-computes once per visual span. All merge arithmetic is float64: logits are
+The public functions check every input once, with ``core._tokens``, and
+call private kernels, which do no checks of their own. The kernels take
+float64 rows with their squared norms, which ``merge_stage`` computes once
+per visual span. All merge arithmetic is float64: logits are
 raw dot products scaled afterwards by the two rows' RMS factors, and the
 fold runs in place; results are cast back to float32. Merged rows are
 convex combinations of the source row and the target rows, so they stay
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, ShapeError, index_set, sq_norms, token_matrix
+from .core import ParameterError, ShapeError, _tokens, index_set, sq_norms, token_matrix
 
 MODES = ("soft", "hard")
 #: added to the mean square in every RMS scale, so zero rows stay at zero;
@@ -92,11 +93,9 @@ def _logits(sources, s_sq, targets, t_sq) -> np.ndarray:
 
 
 def _float64_pair(sources, targets) -> tuple[np.ndarray, np.ndarray]:
-    sources = token_matrix(sources, name="sources").astype(np.float64)
-    targets = token_matrix(targets, name="targets").astype(np.float64)
-    if sources.shape[1] != targets.shape[1]:
-        raise ShapeError(f"embedding dims differ: {sources.shape[1]} vs {targets.shape[1]}")
-    return sources, targets
+    sources = _tokens(sources, "sources")
+    targets = _tokens(targets, "targets", sources.shape[1])
+    return sources.astype(np.float64), targets.astype(np.float64)
 
 
 def match_logits(sources, targets) -> np.ndarray:
@@ -159,9 +158,7 @@ def soft_bipartite_merge(
     """
     sources, targets = _float64_pair(sources, targets)
     n_s, n_t = sources.shape[0], targets.shape[0]
-    if n_s < 1:
-        raise ParameterError("merge needs at least one source token")
-    if params.m != n_s:
+    if params.m != n_s:  # m >= 1, so this also rejects an empty source set
         raise ParameterError(f"params.m = {params.m} but {n_s} source rows were given")
     if source_indices is None:
         source_indices = np.arange(n_s, dtype=np.int64)

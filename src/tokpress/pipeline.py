@@ -19,14 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ParameterError, PatchGrid, RngState, ShapeError, sq_norms, token_matrix
+from .core import ParameterError, PatchGrid, RngState, ShapeError, _tokens, sq_norms
 from .costmodel import TokenSchedule
 from .expand import ExpandParams, expand_mask
 from .merge import MergeParams, MergeReport, _fold
 from .sampling import context_indices, keep_set
-from .similarity import _anchor_mask, _relevance, top_m
-
-AGGREGATIONS = ("max", "mean")
+from .similarity import AGGREGATIONS, _anchor_mask, _relevance, top_m
 
 
 @dataclass(frozen=True)
@@ -117,53 +115,21 @@ def prune_stage(e_img, e_lang, grid: PatchGrid, config: CompressionConfig):
     """Stage one: anchors -> expansion -> context union -> row selection.
 
     Returns (kept tokens, kept indices, PruneReport). Kept rows preserve
-    their original relative order. Language tokens with no rows raise
-    ShapeError before any step runs.
+    their original relative order. Language tokens with no rows or another
+    width than ``e_img`` raise ShapeError before any step runs.
     """
-    e_img = token_matrix(e_img, name="e_img")
-    return _prune(e_img, _language(e_lang), grid, config)
+    e_img = _tokens(e_img, "e_img")
+    return _prune(e_img, _tokens(e_lang, "e_lang", e_img.shape[1], nonempty=True), grid, config)
 
 
-def _rows(tokens, name: str, need: str) -> np.ndarray:
-    tokens = token_matrix(tokens, name=name)
-    if tokens.shape[0] == 0:
-        raise ShapeError(f"{name}: {need}, got 0")
-    return tokens
-
-
-def _language(e_lang) -> np.ndarray:
-    return _rows(e_lang, "e_lang", "anchor voting needs at least one language row")
-
-
-def _guidance(guidance) -> np.ndarray:
-    return _rows(guidance, "guidance", "merge scoring needs at least one guidance row")
-
-
-def _range_bounds(visual_range, n_rows: int) -> tuple[int, int]:
-    if isinstance(visual_range, range):
-        if visual_range.step != 1:
-            raise ParameterError("visual_range must be contiguous (step 1)")
-        start, stop = visual_range.start, visual_range.stop
-    else:
-        start, stop = visual_range
-    if not 0 <= start <= stop <= n_rows:
-        raise ShapeError(f"visual range [{start}, {stop}) outside sequence of {n_rows} rows")
-    return int(start), int(stop)
-
-
-def _merge(hidden, guidance, visual_range, config: CompressionConfig, m: int):
-    start, stop = _range_bounds(visual_range, hidden.shape[0])
-    n_visual = stop - start
-    if m > n_visual:
-        raise ParameterError(f"merge source count {m} exceeds {n_visual} visual tokens")
-
+def _merge(hidden, guidance, start: int, stop: int, config: CompressionConfig, m: int):
     # one float64 upcast and one pass of squared norms serve scoring and merging
     visual = hidden[start:stop].astype(np.float64)
     sq = sq_norms(visual)
     source = top_m(_relevance(visual, sq, guidance, config.aggregation), m)
-    rest = np.setdiff1d(np.arange(n_visual, dtype=np.int64), source, assume_unique=True)
+    rest = np.setdiff1d(np.arange(stop - start, dtype=np.int64), source, assume_unique=True)
     merged, absorbed = _fold(visual[source], sq[source], visual[rest], sq[rest], config.merge.mode)
-    report = MergeReport(source + start, absorbed, n_visual, m)
+    report = MergeReport(source + start, absorbed, stop - start, m)
     return np.vstack([hidden[:start], merged, hidden[stop:]]), report
 
 
@@ -173,12 +139,22 @@ def merge_stage(hidden, guidance, visual_range, config: CompressionConfig):
     ``visual_range`` is the contiguous (start, stop) row span holding visual
     tokens; rows outside it pass through untouched. Returns the shortened
     sequence and the MergeReport (source positions are absolute row indices
-    of the input sequence). An m larger than the span raises ParameterError,
-    and guidance with no rows raises ShapeError.
+    of the input sequence). An m larger than the span raises ParameterError;
+    guidance with no rows or another width than ``hidden`` raises ShapeError.
     """
-    hidden = token_matrix(hidden, name="hidden")
-    guidance = _guidance(guidance)
-    return _merge(hidden, guidance, visual_range, config, config.merge.m)
+    hidden = _tokens(hidden, "hidden")
+    guidance = _tokens(guidance, "guidance", hidden.shape[1], nonempty=True)
+    if isinstance(visual_range, range):
+        if visual_range.step != 1:
+            raise ParameterError("visual_range must be contiguous (step 1)")
+        visual_range = (visual_range.start, visual_range.stop)
+    start, stop = (int(i) for i in visual_range)
+    if not 0 <= start <= stop <= hidden.shape[0]:
+        raise ShapeError(f"visual range [{start}, {stop}) outside sequence of {hidden.shape[0]} rows")
+    m = config.merge.m
+    if m > stop - start:
+        raise ParameterError(f"merge source count {m} exceeds {stop - start} visual tokens")
+    return _merge(hidden, guidance, start, stop, config, m)
 
 
 def run_pipeline(e_img, e_lang, guidance, grid: PatchGrid, config: CompressionConfig) -> PipelineResult:
@@ -188,18 +164,19 @@ def run_pipeline(e_img, e_lang, guidance, grid: PatchGrid, config: CompressionCo
     tokens]; only the visual span is merged, to min(kept, m) sources, so a
     scene that keeps fewer than m tokens passes through unmerged. The
     schedule holds the kept count up to merge_layer and the merged count
-    from there on. Language tokens or guidance with no rows raise
-    ShapeError (language first) before stage one runs.
+    from there on. Language tokens or guidance with no rows or another width
+    than ``e_img`` raise ShapeError (language first) before stage one runs.
     """
-    e_lang = _language(e_lang)
-    guidance = _guidance(guidance)
+    e_img = _tokens(e_img, "e_img")
+    e_lang = _tokens(e_lang, "e_lang", e_img.shape[1], nonempty=True)
+    guidance = _tokens(guidance, "guidance", e_img.shape[1], nonempty=True)
 
     t0 = time.perf_counter()
-    kept, kept_idx, prune_rep = _prune(token_matrix(e_img, name="e_img"), e_lang, grid, config)
+    kept, kept_idx, prune_rep = _prune(e_img, e_lang, grid, config)
     t1 = time.perf_counter()
     hidden = np.vstack([kept, e_lang, guidance])
     merged = min(prune_rep.kept, config.merge.m)
-    compressed, merge_rep = _merge(hidden, guidance, (0, kept.shape[0]), config, merged)
+    compressed, merge_rep = _merge(hidden, guidance, 0, kept.shape[0], config, merged)
     t2 = time.perf_counter()
 
     schedule = TokenSchedule.two_stage(

@@ -4,9 +4,11 @@ Anchors seed the stage-one mask: each language token votes for the image
 patch it is most similar to. The same machinery scores image tokens against
 an arbitrary guidance set to pick merge sources.
 
-Public functions validate their inputs once and call private kernels, which
-the pipeline stages call directly. Scores come from one float64 cosine
-formula; anchors are screened in float32 and decided in float64.
+Public functions check every input once, with ``core._tokens``, and call
+private kernels, which the pipeline stages call directly. Kernels do no
+checks of their own, apart from the grid row count of ``_anchor_mask``.
+Scores come from one float64 cosine formula; anchors are screened in
+float32 and decided in float64.
 """
 
 from __future__ import annotations
@@ -19,20 +21,15 @@ from .core import (
     ParameterError,
     PatchGrid,
     ShapeError,
+    _tokens,
     index_set,
     sq_norms,
-    token_matrix,
 )
+
+AGGREGATIONS = ("max", "mean")
 
 _U32 = 2.0**-24  # float32 unit roundoff
 _SAFE_SQ = (2.0**-60, 2.0**60)  # float32 squared row norms the screen's bound covers
-
-
-def _check_pair(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"embedding dims differ: {a.shape[1]} vs {b.shape[1]}")
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ShapeError("cosine similarity needs non-empty inputs")
 
 
 def _cosine(dots: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
@@ -48,9 +45,8 @@ def cosine_similarity_matrix(a, b) -> np.ndarray:
     Rows with zero norm produce 0 for all their entries, so padded tokens are
     harmless. Returns float64, shape (a.rows, b.rows).
     """
-    a = token_matrix(a, name="a").astype(np.float64)
-    b = token_matrix(b, name="b").astype(np.float64)
-    _check_pair(a, b)
+    a = _tokens(a, "a", nonempty=True).astype(np.float64)
+    b = _tokens(b, "b", a.shape[1], nonempty=True).astype(np.float64)
     return _cosine(a @ b.T, sq_norms(a), sq_norms(b))
 
 
@@ -86,11 +82,9 @@ def _argmax_cosine(lang: np.ndarray, img: np.ndarray) -> np.ndarray:
 
 
 def _anchor_mask(e_lang: np.ndarray, e_img: np.ndarray, grid: PatchGrid, per_view: bool) -> BinaryMask:
+    # the first step of stage one, and the one home of the grid row-count check
     if e_img.shape[0] != grid.total:
-        raise ShapeError(f"e_img has {e_img.shape[0]} rows, grid expects {grid.total}")
-    if e_lang.shape[0] < 1:
-        raise ShapeError("anchor_mask needs at least one language token")
-    _check_pair(e_lang, e_img)
+        raise ShapeError(f"e_img: {e_img.shape[0]} rows, grid expects {grid.total}")
     flat = np.zeros(grid.total, dtype=bool)
     span = grid.tokens_per_view if per_view else grid.total
     for start in range(0, grid.total, span):
@@ -108,22 +102,16 @@ def anchor_mask(e_lang, e_img, grid: PatchGrid, *, per_view: bool = False) -> Bi
     argmax is taken inside each camera view separately, one anchor per view
     per language token, instead of across the concatenated sequence.
     """
-    e_lang = token_matrix(e_lang, name="e_lang")
-    e_img = token_matrix(e_img, name="e_img")
+    e_img = _tokens(e_img, "e_img")
+    e_lang = _tokens(e_lang, "e_lang", e_img.shape[1], nonempty=True)
     return _anchor_mask(e_lang, e_img, grid, per_view)
 
 
 def _relevance(visual: np.ndarray, visual_sq: np.ndarray, guides: np.ndarray, aggregation: str) -> np.ndarray:
     # visual is float64 with its squared row norms; guides is a checked token matrix
-    _check_pair(visual, guides)
     guides = guides.astype(np.float64)
     sims = _cosine(visual @ guides.T, visual_sq, sq_norms(guides))
-    if aggregation == "max":
-        scores = sims.max(axis=1)
-    elif aggregation == "mean":
-        scores = sims.mean(axis=1)
-    else:
-        raise ParameterError(f"unknown aggregation {aggregation!r} (use 'max' or 'mean')")
+    scores = sims.max(axis=1) if aggregation == "max" else sims.mean(axis=1)
     return scores.astype(np.float32)
 
 
@@ -134,8 +122,10 @@ def relevance_scores(e_img, guides, *, aggregation: str = "max") -> np.ndarray:
     robust to irrelevant guides) or "mean". Similarities are computed in
     float64; returns float32, one score per image token.
     """
-    visual = token_matrix(e_img, name="e_img").astype(np.float64)
-    guides = token_matrix(guides, name="guides")
+    if aggregation not in AGGREGATIONS:
+        raise ParameterError(f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
+    visual = _tokens(e_img, "e_img", nonempty=True).astype(np.float64)
+    guides = _tokens(guides, "guides", visual.shape[1], nonempty=True)
     return _relevance(visual, sq_norms(visual), guides, aggregation)
 
 

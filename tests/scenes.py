@@ -5,8 +5,12 @@ generated workload on it and a config over expansion kernel and threshold,
 context fraction, merge source count and mode, and seed. The source count
 runs past the usual keep size, so scenes that keep fewer than m tokens are
 drawn too.
+
+``corrupt_scenes`` takes such a scene and corrupts one of its inputs, in
+one of the ways ``CORRUPTIONS`` lists.
 """
 
+import numpy as np
 from hypothesis import strategies as st
 
 from tokpress.core import PatchGrid
@@ -14,6 +18,22 @@ from tokpress.expand import ExpandParams
 from tokpress.merge import MergeParams
 from tokpress.pipeline import CompressionConfig
 from tokpress.workload import WorkloadSpec, generate_workload
+
+#: corruption -> the input it makes invalid (None: the scene stays valid)
+CORRUPTIONS = {
+    "e_lang-width": "e_lang",
+    "guidance-width": "guidance",
+    "e_img-empty": "e_img",
+    "e_lang-empty": "e_lang",
+    "guidance-empty": "guidance",
+    "e_img-off-grid": "e_img",
+    "e_img-nan": "e_img",
+    "e_lang-nan": "e_lang",
+    "guidance-nan": "guidance",
+    "all-zero": None,
+}
+#: corruptions caught only by stage one's grid row-count check
+REACH_STAGE_ONE = {"e_img-empty", "e_img-off-grid"}
 
 
 @st.composite
@@ -27,3 +47,29 @@ def small_scenes(draw):
     config = CompressionConfig(expand=expand, context_fraction=fraction, merge=merge, seed=seed)
     block = min(grid.height, grid.width, 3)
     return generate_workload(WorkloadSpec(grid=grid, block_size=(1, block), seed=seed % 1000)), config
+
+
+@st.composite
+def corrupt_scenes(draw, kind: str):
+    """(inputs, grid, config): the e_img, e_lang and guidance of a small scene,
+    corrupted as ``kind`` names."""
+    load, config = draw(small_scenes())
+    inputs = {"e_img": load.e_img, "e_lang": load.e_lang, "guidance": load.guidance}
+    name = CORRUPTIONS[kind]
+    if kind.endswith("width"):
+        rows, d = inputs[name].shape
+        width = draw(st.integers(1, 2 * d).filter(lambda w: w != d))
+        inputs[name] = np.resize(inputs[name], (rows, width))
+    elif kind.endswith("empty"):
+        inputs[name] = inputs[name][:0]
+    elif kind == "e_img-off-grid":
+        rows = draw(st.integers(1, load.grid.total + 3).filter(lambda r: r != load.grid.total))
+        inputs[name] = np.resize(inputs[name], (rows, inputs[name].shape[1]))
+    elif kind.endswith("nan"):
+        bad = inputs[name].copy()
+        bad[draw(st.integers(0, bad.shape[0] - 1)), draw(st.integers(0, bad.shape[1] - 1))] = np.nan
+        inputs[name] = bad
+    else:
+        inputs["e_img"] = np.zeros_like(load.e_img)
+        inputs["guidance"] = np.zeros_like(load.guidance)
+    return inputs, load.grid, config

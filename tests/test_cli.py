@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -11,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenes import small_scenes
-from tokpress import cli
+from scenes import CORRUPTIONS, REACH_STAGE_ONE, corrupt_scenes, small_scenes
+from tokpress import cli, pipeline
 from tokpress.cli import CONFIG_KEYS, SEED_ENV, load_config, main, parse_grid, parse_schedule
-from tokpress.core import ParameterError
+from tokpress.core import ParameterError, ShapeError
 from tokpress.expand import ExpandParams
 from tokpress.merge import MergeParams
 from tokpress.pipeline import CompressionConfig, prune_stage, run_pipeline
@@ -410,19 +411,51 @@ class TestErrorPaths:
         assert err.startswith("error:") and err.count("\n") == 1
 
     def test_bad_config_json(self, tmp_path, workload_dir, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code = main(
-            [
-                "prune",
-                "--tokens", str(workload_dir / "img.tkb"),
-                "--lang", str(workload_dir / "lang.tkb"),
-                "--grid", "2x16x16",
-                "--config", str(bad),
-            ]
-        )
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
+        # malformed JSON, and bytes that are not UTF-8
+        for text in (b"{not json", b'{"tau": 1,', b'{"tau": \xff1}'):
+            bad = tmp_path / "bad.json"
+            bad.write_bytes(text)
+            code = main(
+                [
+                    "prune",
+                    "--tokens", str(workload_dir / "img.tkb"),
+                    "--lang", str(workload_dir / "lang.tkb"),
+                    "--grid", "2x16x16",
+                    "--config", str(bad),
+                ]
+            )
+            assert code == 1
+            assert capsys.readouterr().err.startswith(f"error: {bad}: not a JSON config: ")
+
+    @pytest.mark.parametrize("span", ["abc", "5", "3:x", "", "1:2:3"])
+    def test_bad_visual_span(self, workload_dir, capsys, span):
+        argv = ["merge", "--tokens", str(workload_dir / "img.tkb"), "--visual", span]
+        assert main(argv + ["--guidance", str(workload_dir / "guidance.tkb")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad visual span {span!r}, expected START:STOP\n"
+
+    @pytest.mark.parametrize("command", ["viz", "pipeline", "prune"])
+    def test_language_width_names_e_lang(self, tmp_path, workload_dir, capsys, command):
+        lang = tmp_path / "lang10.tkb"
+        write_tokens(np.ones((3, 10), dtype=np.float32), lang)
+        argv = [command, "--tokens", str(workload_dir / "img.tkb"), "--lang", str(lang), "--grid", "2x16x16"]
+        if command == "viz":
+            argv += ["--out", str(tmp_path / "mask")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: e_lang: embedding width 10, expected 64\n"
+
+    @pytest.mark.parametrize("command", ["pipeline", "merge"])
+    def test_guidance_width_names_guidance(self, tmp_path, workload_dir, capsys, command):
+        guidance = tmp_path / "guidance10.tkb"
+        write_tokens(np.ones((3, 10), dtype=np.float32), guidance)
+        argv = [command, "--tokens", str(workload_dir / "img.tkb"), "--guidance", str(guidance)]
+        if command == "pipeline":
+            argv += ["--lang", str(workload_dir / "lang.tkb"), "--grid", "2x16x16"]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "_prune", TestCorruptInputs.stage_one)
+            assert main(argv) == 1
+        assert capsys.readouterr().err == "error: guidance: embedding width 10, expected 64\n"
 
     @pytest.mark.parametrize("text,key", RANGE_ERRORS)
     def test_prune_range_error_names_key(self, tmp_path, workload_dir, capsys, text, key):
@@ -456,7 +489,7 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith("error: guidance:")
 
     @pytest.mark.parametrize(
-        "command,guidance", [("pipeline", False), ("pipeline", True), ("prune", False)]
+        "command,guidance", [("pipeline", False), ("pipeline", True), ("prune", False), ("viz", False)]
     )
     def test_empty_language_names_e_lang(self, tmp_path, workload_dir, capsys, command, guidance):
         empty = tmp_path / "lang0.tkb"
@@ -469,6 +502,8 @@ class TestErrorPaths:
         ]  # fmt: skip
         if guidance:
             argv += ["--guidance", str(workload_dir / "guidance.tkb")]
+        if command == "viz":
+            argv += ["--out", str(tmp_path / "mask")]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: e_lang:")
 
@@ -627,3 +662,66 @@ class TestRepeatedCalls:
         assert written["out.tkb"] == expected
         assert json.loads(written["report.json"]) == rep
         assert again == first
+
+
+class TestCorruptInputs:
+    """One corrupted input ends in a result or a typed error that names it."""
+
+    @staticmethod
+    def stage_one(*args):
+        raise AssertionError("stage one ran")
+
+    @staticmethod
+    def container(rows: np.ndarray) -> bytes:
+        # the .tkb layout, built without write_tokens' finiteness check
+        return struct.pack("<4sII", b"TKB1", *rows.shape) + rows.astype("<f4").tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_corrupt_input_property(self, kind, data):
+        inputs, grid, config = data.draw(corrupt_scenes(kind))
+        name = CORRUPTIONS[kind]
+        groups = {None: config, "expand": config.expand, "merge": config.merge}
+        values = {key: getattr(groups[g], f) for key, (g, f, _) in CONFIG_KEYS.items()}
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.delenv(SEED_ENV, raising=False)
+            if name is not None and kind not in REACH_STAGE_ONE:
+                mp.setattr(pipeline, "_prune", self.stage_one)
+            d = Path(tmp)
+            paths = {key: d / f"{key}.tkb" for key in inputs}
+            for key, rows in inputs.items():
+                paths[key].write_bytes(self.container(rows))
+            (d / "cfg.json").write_text(json.dumps(values))
+            files = (d / "out.tkb",)
+            argv = [
+                "pipeline",
+                "--tokens", str(paths["e_img"]),
+                "--lang", str(paths["e_lang"]),
+                "--guidance", str(paths["guidance"]),
+                "--grid", f"{grid.views}x{grid.height}x{grid.width}",
+                "--config", str(d / "cfg.json"),
+                "--out", str(files[0]),
+                "--no-timing",
+            ]  # fmt: skip
+            code, out, err, written = TestRepeatedCalls.call(argv, files)
+            try:
+                result = run_pipeline(inputs["e_img"], inputs["e_lang"], inputs["guidance"], grid, config)
+            except (ShapeError, ParameterError) as exc:
+                result, message = None, str(exc)
+
+        if name is None:
+            rep = result.report
+            final = min(rep.keep_size, config.merge.m)
+            assert rep.keep_size + rep.pruned == grid.total
+            assert int(rep.schedule.visual_counts[-1]) == final == result.merge.tokens_after
+            assert result.compressed.shape[0] == final + rep.schedule.non_visual
+            assert (code, err) == (0, "")
+            counts = {k: int(v) for k, v in report_dict(out).items() if k in ("kept", "pruned", "final_visual")}
+            assert counts == {"kept": rep.keep_size, "pruned": rep.pruned, "final_visual": final}
+            assert written["out.tkb"] == self.container(result.compressed)
+            return
+        assert result is None and message.startswith(f"{name}: ")
+        assert (code, out, written) == (1, "", {})
+        # a non-finite payload is refused by the container reader, which names the file
+        assert err in (f"error: {message}\n", f"error: {paths[name]}: payload contains non-finite values\n")

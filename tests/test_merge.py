@@ -131,6 +131,12 @@ class TestSoftMerge:
         with pytest.raises(ShapeError):
             soft_bipartite_merge(rand((2, 3), 0), rand((2, 4), 1), MergeParams(m=2))
 
+    def test_width_error_names_targets(self):
+        with pytest.raises(ShapeError, match="^targets: embedding width 4, expected 3$"):
+            soft_bipartite_merge(rand((2, 3), 0), rand((2, 4), 1), MergeParams(m=2))
+        with pytest.raises(ShapeError, match="^targets: embedding width 4, expected 3$"):
+            match_logits(rand((2, 3), 0), rand((2, 4), 1))
+
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_step_oracle(self, seed):
         s, t = random_instance(seed)

@@ -1,10 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import oracles
 from scenes import small_scenes
-from tokpress import pipeline
+from tokpress import core, pipeline
 from tokpress.core import ParameterError, PatchGrid, RngState, ShapeError
 from tokpress.expand import ExpandParams
 from tokpress.merge import MergeParams
@@ -27,6 +29,14 @@ def goal_long(seed=0, **overrides):
 
 def load_2view(seed=0):
     return generate_workload(WorkloadSpec(grid=PatchGrid(2, 16, 16), seed=seed))
+
+
+def stage_one(*args):
+    raise AssertionError("stage one ran")
+
+
+def wide(rows, width=10):
+    return np.ones((rows, width), dtype=np.float32)
 
 
 class TestConfig:
@@ -101,6 +111,17 @@ class TestPruneStage:
         with pytest.raises(ShapeError):
             prune_stage(load.e_img[:-1], load.e_lang, load.grid, goal_long())
 
+    def test_row_count_error_names_e_img(self):
+        load = load_2view(3)
+        with pytest.raises(ShapeError, match="^e_img: 511 rows, grid expects 512$"):
+            prune_stage(load.e_img[:-1], load.e_lang, load.grid, goal_long())
+
+    def test_language_width_rejected_before_stage_one(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_prune", stage_one)
+        load = load_2view(15)
+        with pytest.raises(ShapeError, match="^e_lang: embedding width 10, expected 64$"):
+            prune_stage(load.e_img, wide(3), load.grid, goal_long())
+
 
 class TestMergeStage:
     def test_noop_when_m_covers_range(self):
@@ -163,6 +184,11 @@ class TestMergeStage:
         load = load_2view(9)
         with pytest.raises(ShapeError, match="guidance"):
             merge_stage(load.e_img[:50], load.guidance[:0], (0, 50), goal_long(merge=MergeParams(m=8)))
+
+    def test_guidance_width_names_guidance(self):
+        load = load_2view(9)
+        with pytest.raises(ShapeError, match="^guidance: embedding width 10, expected 64$"):
+            merge_stage(load.e_img[:50], wide(3), (0, 50), goal_long(merge=MergeParams(m=8)))
 
     def test_range_forms(self):
         load = load_2view(10)
@@ -262,6 +288,14 @@ class TestRunPipeline:
         assert (rep.schedule.visual_counts == rep.keep_size).all()
         assert np.array_equal(result.compressed[: rep.keep_size], result.kept)
 
+    @pytest.mark.parametrize("which", ["e_lang", "guidance"])
+    def test_width_mismatch_rejected_before_stage_one(self, monkeypatch, which):
+        monkeypatch.setattr(pipeline, "_prune", stage_one)
+        load = load_2view(15)
+        inputs = {"e_lang": load.e_lang, "guidance": load.guidance, which: wide(3)}
+        with pytest.raises(ShapeError, match=f"^{which}: embedding width 10, expected 64$"):
+            run_pipeline(load.e_img, inputs["e_lang"], inputs["guidance"], load.grid, goal_long())
+
     @given(small_scenes())
     @settings(max_examples=30, deadline=None)
     def test_accounting_property(self, scene):
@@ -278,3 +312,36 @@ class TestRunPipeline:
         assert a.compressed.shape[0] == final + rep.schedule.non_visual
         assert a.compressed.tobytes() == b.compressed.tobytes()
         assert a.kept_indices.tobytes() == b.kept_indices.tobytes()
+
+
+class TestCheckedOnce:
+    """Each public call turns each of its token inputs into a matrix exactly once."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        names = []
+        original = core.token_matrix
+
+        def counted(data, *, name="tokens"):
+            names.append(name)
+            return original(data, name=name)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("tokpress") and vars(mod).get("token_matrix") is original:
+                monkeypatch.setattr(mod, "token_matrix", counted)
+        return names
+
+    def test_run_pipeline(self, calls):
+        load = load_2view(16)
+        run_pipeline(load.e_img, load.e_lang, load.guidance, load.grid, goal_long())
+        assert calls == ["e_img", "e_lang", "guidance"]
+
+    def test_prune_stage(self, calls):
+        load = load_2view(16)
+        prune_stage(load.e_img, load.e_lang, load.grid, goal_long())
+        assert calls == ["e_img", "e_lang"]
+
+    def test_merge_stage(self, calls):
+        load = load_2view(16)
+        merge_stage(load.e_img[:100], load.guidance, (0, 100), goal_long())
+        assert calls == ["hidden", "guidance"]

@@ -38,6 +38,12 @@ class TestCosineMatrix:
         with pytest.raises(ShapeError):
             cosine_similarity_matrix(np.empty((0, 3), dtype=np.float32), [[1.0, 0.0, 0.0]])
 
+    def test_errors_name_the_input(self):
+        with pytest.raises(ShapeError, match="^b: embedding width 3, expected 2$"):
+            cosine_similarity_matrix([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
+        with pytest.raises(ShapeError, match="^b: "):
+            cosine_similarity_matrix([[1.0, 0.0]], np.empty((0, 2), dtype=np.float32))
+
     def test_matches_loop_oracle(self):
         a, b = rand((5, 7), 0), rand((4, 7), 1)
         assert np.allclose(cosine_similarity_matrix(a, b), oracles.cosine(a, b), atol=1e-6)
@@ -101,6 +107,11 @@ class TestAnchorMask:
     def test_row_count_mismatch(self):
         with pytest.raises(ShapeError):
             anchor_mask(rand((1, 4), 0), rand((9, 4), 1), PatchGrid(1, 4, 4))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (2, 3), (2, 5)])
+    def test_language_errors_name_e_lang(self, shape):
+        with pytest.raises(ShapeError, match="^e_lang: "):
+            anchor_mask(rand(shape, 0), rand((16, 4), 1), PatchGrid(1, 4, 4))
 
     def test_scaling_language_row_leaves_mask(self):
         grid = PatchGrid(1, 4, 4)
@@ -230,6 +241,11 @@ class TestRelevanceScores:
     def test_unknown_aggregation(self):
         with pytest.raises(ParameterError):
             relevance_scores(rand((2, 3), 0), rand((1, 3), 1), aggregation="median")
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 4)])
+    def test_guide_errors_name_guides(self, shape):
+        with pytest.raises(ShapeError, match="^guides: "):
+            relevance_scores(rand((5, 3), 0), rand(shape, 1))
 
 
 class TestTopM:
