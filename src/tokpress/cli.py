@@ -6,8 +6,8 @@ schedules under the FLOPs model, ``gen`` writes a synthetic workload,
 ``viz`` exports stage-one masks as PGM images, and ``bench`` times a stage.
 
 Reports are line-oriented ``key=value`` text on stdout (optionally mirrored
-to a file and/or JSON). All randomness is governed by the config seed; the
-environment variable TEAMC_SEED, when set, overrides it.
+to a file and/or JSON, where a key that repeats maps to the list of its
+values). All randomness is governed by the seed in the config file.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -47,15 +46,12 @@ CONFIG_KEYS = {
 _JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "boolean": bool}
 _GROUPS = {None: CompressionConfig, "expand": ExpandParams, "merge": MergeParams}
 
-SEED_ENV = "TEAMC_SEED"
-
-
 def load_config(path=None) -> CompressionConfig:
     """Build a CompressionConfig from a JSON file; missing keys take its defaults.
 
     Unknown keys and values of the wrong JSON type are rejected so typos
     fail loudly; range checks are the dataclasses' own, and their errors
-    name the JSON key. TEAMC_SEED in the environment beats the file's seed.
+    name the JSON key. The result depends on the file alone.
     """
     raw = {}
     if path is not None:
@@ -68,13 +64,6 @@ def load_config(path=None) -> CompressionConfig:
     unknown = sorted(set(raw) - set(CONFIG_KEYS))
     if unknown:
         raise ParameterError(f"unknown config keys: {', '.join(unknown)}")
-
-    env_seed = os.environ.get(SEED_ENV)
-    if env_seed is not None:
-        try:
-            raw["seed"] = int(env_seed)
-        except ValueError:
-            raise ParameterError(f"{SEED_ENV} must be an integer, got {env_seed!r}") from None
     fields = {None: {}, "expand": {}, "merge": {}}
     for key, value in raw.items():
         group, name, kind = CONFIG_KEYS[key]
@@ -140,10 +129,11 @@ def _emit(lines, report_path=None, json_path=None) -> None:
     if report_path:
         Path(report_path).write_text(text)
     if json_path:
-        payload = {}
+        grouped = {}
         for line in lines:
             key, _, value = line.partition("=")
-            payload[key] = value
+            grouped.setdefault(key, []).append(value)
+        payload = {k: v[0] if len(v) == 1 else v for k, v in grouped.items()}
         Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -161,16 +151,10 @@ def _mask_files(mask, out_prefix: str) -> list[str]:
     return written
 
 
-def _cmd_prune(args) -> int:
-    config = load_config(args.config)
-    grid = parse_grid(args.grid)
-    e_img = read_tokens(args.tokens)
-    e_lang = read_tokens(args.lang)
-    kept, kept_idx, rep = prune_stage(e_img, e_lang, grid, config)
-    if args.out:
-        write_tokens(kept, args.out)
-    lines = [
-        "stage=prune",
+def _stage_one_lines(stage: str, grid: PatchGrid, config: CompressionConfig, rep) -> list[str]:
+    # the report lines prune and pipeline share, from stage one's PruneReport
+    return [
+        f"stage={stage}",
         f"grid={grid.views}x{grid.height}x{grid.width}",
         f"seed={config.seed}",
         f"anchors={rep.anchors}",
@@ -178,13 +162,23 @@ def _cmd_prune(args) -> int:
         f"context={rep.context}",
         f"kept={rep.kept}",
         f"pruned={rep.pruned}",
-        f"kept_indices={','.join(str(i) for i in kept_idx)}",
     ]
-    _emit(lines, args.report, args.json)
-    return 0
 
 
-def _cmd_merge(args) -> int:
+def _cmd_prune(args) -> list[str]:
+    config = load_config(args.config)
+    grid = parse_grid(args.grid)
+    e_img = read_tokens(args.tokens)
+    e_lang = read_tokens(args.lang)
+    kept, kept_idx, rep = prune_stage(e_img, e_lang, grid, config)
+    if args.out:
+        write_tokens(kept, args.out)
+    return _stage_one_lines("prune", grid, config, rep) + [
+        f"kept_indices={','.join(str(i) for i in kept_idx)}"
+    ]
+
+
+def _cmd_merge(args) -> list[str]:
     config = load_config(args.config)
     hidden = read_tokens(args.tokens)
     guidance = read_tokens(args.guidance)
@@ -192,7 +186,7 @@ def _cmd_merge(args) -> int:
     compressed, rep = merge_stage(hidden, guidance, span, config)
     if args.out:
         write_tokens(compressed, args.out)
-    lines = [
+    return [
         "stage=merge",
         f"seed={config.seed}",
         f"visual={span[0]}:{span[1]}",
@@ -202,11 +196,9 @@ def _cmd_merge(args) -> int:
         f"weight_total={float(rep.absorbed_weight.sum())!r}",
         f"sources={','.join(str(i) for i in rep.source_indices)}",
     ]
-    _emit(lines, args.report, args.json)
-    return 0
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_pipeline(args) -> list[str]:
     config = load_config(args.config)
     grid = parse_grid(args.grid)
     e_img = read_tokens(args.tokens)
@@ -220,15 +212,7 @@ def _cmd_pipeline(args) -> int:
     final = int(schedule.visual_counts[-1])
     baseline = TokenSchedule.flat(grid.total, config.total_layers, schedule.non_visual)
     ratio = relative_flops(schedule, baseline, BackboneSpec(layers=config.total_layers))
-    lines = [
-        "stage=pipeline",
-        f"grid={grid.views}x{grid.height}x{grid.width}",
-        f"seed={config.seed}",
-        f"anchors={result.prune.anchors}",
-        f"expanded={result.prune.expanded}",
-        f"context={result.prune.context}",
-        f"kept={rep.keep_size}",
-        f"pruned={rep.pruned}",
+    lines = _stage_one_lines("pipeline", grid, config, result.prune) + [
         f"merged_away={rep.merged_away}",
         f"final_visual={final}",
         f"sequence_out={result.compressed.shape[0]}",
@@ -239,26 +223,23 @@ def _cmd_pipeline(args) -> int:
     if not args.no_timing:
         for stage, ms in rep.timings_ms.items():
             lines.append(f"time_{stage}_ms={ms:.3f}")
-    _emit(lines, args.report, args.json)
-    return 0
+    return lines
 
 
-def _cmd_cost(args) -> int:
+def _cmd_cost(args) -> list[str]:
     spec = BackboneSpec(
         layers=args.layers, hidden_dim=args.hidden_dim, ff_dim=args.ff_dim, heads=args.heads
     )
     baseline = parse_schedule(args.baseline, args.layers, args.non_visual)
     candidate = parse_schedule(args.candidate, args.layers, args.non_visual)
-    lines = [
+    return [
         f"baseline_flops={schedule_flops(baseline, spec)}",
         f"candidate_flops={schedule_flops(candidate, spec)}",
         f"ratio={relative_flops(candidate, baseline, spec)!r}",
     ]
-    _emit(lines, args.report, args.json)
-    return 0
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> list[str]:
     spec = WorkloadSpec(
         grid=parse_grid(args.grid),
         blocks=args.blocks,
@@ -286,11 +267,10 @@ def _cmd_gen(args) -> int:
         f"wrote={out / 'guidance.tkb'}",
     ]
     lines += [f"wrote={p}" for p in mask_paths]
-    _emit(lines, args.report, args.json)
-    return 0
+    return lines
 
 
-def _cmd_viz(args) -> int:
+def _cmd_viz(args) -> list[str]:
     config = load_config(args.config)
     grid = parse_grid(args.grid)
     e_img = read_tokens(args.tokens)
@@ -301,8 +281,7 @@ def _cmd_viz(args) -> int:
     paths = _mask_files(mask, args.out)
     lines = ["stage=viz", f"mask_stage={args.mask_stage}", f"bits={mask.count()}"]
     lines += [f"wrote={p}" for p in paths]
-    _emit(lines, args.report, args.json)
-    return 0
+    return lines
 
 
 def _bench_target(stage: str, load: Workload, config: CompressionConfig):
@@ -323,7 +302,7 @@ def _bench_target(stage: str, load: Workload, config: CompressionConfig):
     raise ParameterError(f"unknown bench stage {stage!r}")
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> list[str]:
     if args.reps < 1:
         raise ParameterError("bench needs at least one repetition")
     config = load_config(args.config)
@@ -337,15 +316,13 @@ def _cmd_bench(args) -> int:
         target()
         samples[i] = time.perf_counter() - t0
     samples *= 1e3
-    lines = [
+    return [
         f"stage={args.stage}",
         f"reps={args.reps}",
         f"mean_ms={samples.mean():.4f}",
         f"p50_ms={np.percentile(samples, 50):.4f}",
         f"p95_ms={np.percentile(samples, 95):.4f}",
     ]
-    _emit(lines, args.report, args.json)
-    return 0
 
 
 def _add_report_args(p: argparse.ArgumentParser) -> None:
@@ -440,12 +417,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args.func(args), args.report, args.json)
     except (ValueError, IndexError, OSError) as exc:
         # ValueError covers shape/parameter/decode errors and bad JSON;
         # IndexError covers grid range errors
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

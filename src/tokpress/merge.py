@@ -136,13 +136,7 @@ def _fold(sources, s_sq, targets, t_sq, mode: str) -> tuple[np.ndarray, np.ndarr
     return merged.astype(np.float32), absorbed
 
 
-def soft_bipartite_merge(
-    sources,
-    targets,
-    params: MergeParams,
-    *,
-    source_indices=None,
-) -> tuple[np.ndarray, MergeReport]:
+def soft_bipartite_merge(sources, targets, params: MergeParams) -> tuple[np.ndarray, MergeReport]:
     """Absorb every target row into the source rows.
 
     For each target i, a weight row W[i] distributes it over sources (softmax
@@ -153,19 +147,12 @@ def soft_bipartite_merge(
 
     ``params.m`` must equal the number of source rows; the report's
     ``tokens_after`` is then m by construction. With no targets the sources
-    come back bitwise unchanged. ``source_indices``, when given, is recorded
-    in the report (positions of the sources in the caller's sequence).
+    come back bitwise unchanged. The report's ``source_indices`` are the
+    source rows' own positions, 0 to m - 1.
     """
     sources, targets = _float64_pair(sources, targets)
     n_s, n_t = sources.shape[0], targets.shape[0]
     if params.m != n_s:  # m >= 1, so this also rejects an empty source set
         raise ParameterError(f"params.m = {params.m} but {n_s} source rows were given")
-    if source_indices is None:
-        source_indices = np.arange(n_s, dtype=np.int64)
-    else:
-        source_indices = index_set(source_indices, name="source_indices")
-        if source_indices.size != n_s:
-            raise ShapeError(f"{source_indices.size} source indices for {n_s} source rows")
-
     merged, absorbed = _fold(sources, sq_norms(sources), targets, sq_norms(targets), params.mode)
-    return merged, MergeReport(source_indices, absorbed, n_s + n_t, n_s)
+    return merged, MergeReport(np.arange(n_s, dtype=np.int64), absorbed, n_s + n_t, n_s)

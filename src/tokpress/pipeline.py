@@ -14,6 +14,7 @@ mid-layer activations can drive merge_stage directly.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -133,24 +134,38 @@ def _merge(hidden, guidance, start: int, stop: int, config: CompressionConfig, m
     return np.vstack([hidden[:start], merged, hidden[stop:]]), report
 
 
+def _visual_span(visual_range, rows: int) -> tuple[int, int]:
+    # a step-1 range or a (start, stop) pair of integers, inside the sequence
+    if isinstance(visual_range, range) and visual_range.step == 1:
+        visual_range = (visual_range.start, visual_range.stop)
+    try:
+        start, stop = (operator.index(i) for i in visual_range)
+    except (TypeError, ValueError):
+        raise ParameterError(
+            f"visual_range: expected a (start, stop) pair of integers, got {visual_range!r}"
+        ) from None
+    if start > stop:
+        raise ShapeError(f"visual_range: start {start} > stop {stop}")
+    if start < 0 or stop > rows:
+        raise ShapeError(f"visual_range: [{start}, {stop}) outside sequence of {rows} rows")
+    return start, stop
+
+
 def merge_stage(hidden, guidance, visual_range, config: CompressionConfig):
     """Stage two: replace the visual rows of ``hidden`` by m merged sources.
 
-    ``visual_range`` is the contiguous (start, stop) row span holding visual
-    tokens; rows outside it pass through untouched. Returns the shortened
-    sequence and the MergeReport (source positions are absolute row indices
-    of the input sequence). An m larger than the span raises ParameterError;
-    guidance with no rows or another width than ``hidden`` raises ShapeError.
+    ``visual_range`` is the contiguous row span holding visual tokens, a
+    (start, stop) pair of integers or a step-1 ``range``; rows outside it
+    pass through untouched. Returns the shortened sequence and the
+    MergeReport (source positions are absolute row indices of the input
+    sequence). Anything else as ``visual_range``, or an m larger than the
+    span, raises ParameterError; a reversed span or one outside ``hidden``,
+    and guidance with no rows or another width than ``hidden``, raise
+    ShapeError.
     """
     hidden = _tokens(hidden, "hidden")
     guidance = _tokens(guidance, "guidance", hidden.shape[1], nonempty=True)
-    if isinstance(visual_range, range):
-        if visual_range.step != 1:
-            raise ParameterError("visual_range must be contiguous (step 1)")
-        visual_range = (visual_range.start, visual_range.stop)
-    start, stop = (int(i) for i in visual_range)
-    if not 0 <= start <= stop <= hidden.shape[0]:
-        raise ShapeError(f"visual range [{start}, {stop}) outside sequence of {hidden.shape[0]} rows")
+    start, stop = _visual_span(visual_range, hidden.shape[0])
     m = config.merge.m
     if m > stop - start:
         raise ParameterError(f"merge source count {m} exceeds {stop - start} visual tokens")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from scenes import CORRUPTIONS, REACH_STAGE_ONE, corrupt_scenes, small_scenes
 from tokpress import cli, pipeline
-from tokpress.cli import CONFIG_KEYS, SEED_ENV, load_config, main, parse_grid, parse_schedule
+from tokpress.cli import CONFIG_KEYS, load_config, main, parse_grid, parse_schedule
 from tokpress.core import ParameterError, ShapeError
 from tokpress.expand import ExpandParams
 from tokpress.merge import MergeParams
@@ -128,8 +128,7 @@ class TestConfig:
         assert len(set(targets)) == len(targets)
         assert set(targets) == leaves
 
-    def test_every_key_round_trips(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("TEAMC_SEED", raising=False)
+    def test_every_key_round_trips(self, tmp_path):
         values = {
             "kernel_size": 5,
             "tau": 2,
@@ -165,18 +164,24 @@ class TestConfig:
         with pytest.raises(ParameterError):
             load_config(path)
 
-    def test_env_seed_overrides(self, tmp_path, monkeypatch):
+    def test_seed_comes_from_the_file_alone(self, tmp_path, workload_dir, monkeypatch, capsys):
+        # no environment variable reaches the seed, this name included
+        monkeypatch.setenv("TEAMC_SEED", "99")
         path = tmp_path / "c.json"
         path.write_text('{"seed": 5}')
-        monkeypatch.setenv("TEAMC_SEED", "99")
-        assert load_config(path).seed == 99
-        monkeypatch.delenv("TEAMC_SEED")
         assert load_config(path).seed == 5
-
-    def test_env_seed_must_be_integer(self, monkeypatch):
-        monkeypatch.setenv("TEAMC_SEED", "pi")
-        with pytest.raises(ParameterError):
-            load_config(None)
+        assert load_config(None).seed == 0
+        capsys.readouterr()
+        argv = [
+            "pipeline",
+            "--tokens", str(workload_dir / "img.tkb"),
+            "--lang", str(workload_dir / "lang.tkb"),
+            "--grid", "2x16x16",
+            "--config", str(path),
+            "--no-timing",
+        ]  # fmt: skip
+        assert main(argv) == 0
+        assert report_dict(capsys.readouterr().out)["seed"] == "5"
 
 
 class TestParsers:
@@ -400,6 +405,30 @@ class TestSubcommands:
         mirrored = json.loads(json_path.read_text())
         assert mirrored["final_visual"] == "80"
 
+    @pytest.mark.parametrize("command", ["gen", "viz", "prune", "pipeline", "merge", "cost", "bench"])
+    def test_json_groups_stdout_lines_by_key(self, workload_dir, tmp_path, capsys, command):
+        img, lang = str(workload_dir / "img.tkb"), str(workload_dir / "lang.tkb")
+        scene = ["--tokens", img, "--lang", lang, "--grid", "2x16x16"]
+        argv = {
+            "gen": ["gen", "--out-dir", str(tmp_path / "g")],
+            "viz": ["viz", *scene, "--out", str(tmp_path / "mask")],
+            "prune": ["prune", *scene],
+            "pipeline": ["pipeline", *scene, "--no-timing"],
+            "merge": ["merge", "--tokens", img, "--guidance", str(workload_dir / "guidance.tkb")],
+            "cost": ["cost", "--baseline", "flat:512", "--candidate", "step:196,80@16"],
+            "bench": ["bench", "--stage", "expand", "--reps", "3"],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + ["--json", str(tmp_path / "rep.json")]) == 0
+        rep = report_dict(capsys.readouterr().out)
+        assert json.loads((tmp_path / "rep.json").read_text()) == rep
+        # a repeated key keeps every value, in report order
+        if command == "gen":
+            names = ["img.tkb", "lang.tkb", "guidance.tkb", "truth_v0.pgm", "truth_v1.pgm"]
+            assert rep["wrote"] == [str(tmp_path / "g" / n) for n in names]
+        if command == "viz":
+            assert rep["wrote"] == [str(tmp_path / f"mask_v{v}.pgm") for v in (0, 1)]
+
 
 class TestErrorPaths:
     def test_missing_file(self, capsys):
@@ -434,6 +463,16 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: bad visual span {span!r}, expected START:STOP\n"
+
+    @pytest.mark.parametrize(
+        "span,message",
+        [("5:3", "start 5 > stop 3"), ("0:600", "[0, 600) outside sequence of 512 rows")],
+    )
+    def test_visual_span_out_of_order_or_range(self, workload_dir, capsys, span, message):
+        argv = ["merge", "--tokens", str(workload_dir / "img.tkb"), "--visual", span]
+        assert main(argv + ["--guidance", str(workload_dir / "guidance.tkb")]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: visual_range: {message}\n")
 
     @pytest.mark.parametrize("command", ["viz", "pipeline", "prune"])
     def test_language_width_names_e_lang(self, tmp_path, workload_dir, capsys, command):
@@ -566,10 +605,7 @@ class TestRepeatedCalls:
     def inputs(d: Path, stage: str = "pipeline") -> list[str]:
         return [stage, "--tokens", str(d / "img.tkb"), "--lang", str(d / "lang.tkb")]
 
-    def test_calls_match_a_freshly_built_parser(
-        self, workload_dir, config_path, tmp_path, monkeypatch
-    ):
-        monkeypatch.delenv(SEED_ENV, raising=False)
+    def test_calls_match_a_freshly_built_parser(self, workload_dir, config_path, tmp_path):
         files = (tmp_path / "out.tkb", tmp_path / "report.json")
         outputs = ["--out", str(files[0]), "--json", str(files[1])]
         pipe = self.inputs(workload_dir) + ["--grid", "2x16x16"] + outputs
@@ -629,8 +665,7 @@ class TestRepeatedCalls:
         guidance = load.guidance if guided else load.e_lang
         groups = {None: config, "expand": config.expand, "merge": config.merge}
         values = {key: getattr(groups[g], name) for key, (g, name, _) in CONFIG_KEYS.items()}
-        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-            mp.delenv(SEED_ENV, raising=False)
+        with tempfile.TemporaryDirectory() as tmp:
             d = Path(tmp)
             for name, rows in (("img", load.e_img), ("lang", load.e_lang), ("guidance", load.guidance)):
                 write_tokens(rows, d / f"{name}.tkb")
@@ -685,7 +720,6 @@ class TestCorruptInputs:
         groups = {None: config, "expand": config.expand, "merge": config.merge}
         values = {key: getattr(groups[g], f) for key, (g, f, _) in CONFIG_KEYS.items()}
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-            mp.delenv(SEED_ENV, raising=False)
             if name is not None and kind not in REACH_STAGE_ONE:
                 mp.setattr(pipeline, "_prune", self.stage_one)
             d = Path(tmp)

@@ -115,6 +115,7 @@ class TestSoftMerge:
         want, w, s_vec = oracles.merge_steps(s, t)
         assert np.allclose(merged, want, atol=1e-5)
         assert np.allclose(rep.absorbed_weight, s_vec, atol=1e-9)
+        assert rep.source_indices.tolist() == [0, 1]
         # the matching source absorbs strictly more weight
         assert rep.absorbed_weight[0] > rep.absorbed_weight[1]
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
@@ -202,9 +203,3 @@ class TestSoftMerge:
         scaled = top_m(relevance_scores(e_img, guides * np.float32(12.0)), 10)
         assert np.array_equal(base, scaled)
 
-    def test_source_indices_recorded(self):
-        s, t = rand((3, 4), 70), rand((2, 4), 71)
-        _, rep = soft_bipartite_merge(s, t, MergeParams(m=3), source_indices=[2, 5, 9])
-        assert rep.source_indices.tolist() == [2, 5, 9]
-        with pytest.raises(ShapeError):
-            soft_bipartite_merge(s, t, MergeParams(m=3), source_indices=[1, 2])

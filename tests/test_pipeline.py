@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -196,8 +197,18 @@ class TestMergeStage:
         a, _ = merge_stage(load.e_img[:64], load.guidance, (0, 64), config)
         b, _ = merge_stage(load.e_img[:64], load.guidance, range(0, 64), config)
         assert np.array_equal(a, b)
-        with pytest.raises(ParameterError):
-            merge_stage(load.e_img[:64], load.guidance, range(0, 64, 2), config)
+        c, _ = merge_stage(load.e_img[:64], load.guidance, (np.int64(0), np.int32(64)), config)
+        assert np.array_equal(a, c)
+        with pytest.raises(ShapeError, match=r"^visual_range: start 5 > stop 3$"):
+            merge_stage(load.e_img[:64], load.guidance, (5, 3), config)
+        with pytest.raises(ShapeError, match=r"^visual_range: \[0, 600\) outside sequence of 64 rows$"):
+            merge_stage(load.e_img[:64], load.guidance, (0, 600), config)
+        with pytest.raises(ShapeError, match=r"^visual_range: \[-1, 20\) outside sequence of 64 rows$"):
+            merge_stage(load.e_img[:64], load.guidance, (-1, 20), config)
+        for bad in (range(0, 64, 2), (1, 2, 3), 5, (0.5, 10), (0,), None):
+            message = f"^visual_range: expected a \\(start, stop\\) pair of integers, got {re.escape(repr(bad))}$"
+            with pytest.raises(ParameterError, match=message):
+                merge_stage(load.e_img[:64], load.guidance, bad, config)
         with pytest.raises(ShapeError):
             merge_stage(load.e_img[:64], load.guidance, (0, 65), config)
 
