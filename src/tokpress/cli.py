@@ -40,10 +40,8 @@ CONFIG_KEYS = {
     "merge_layer": (None, "merge_layer", "integer"),
     "total_layers": (None, "total_layers", "integer"),
     "seed": (None, "seed", "integer"),
-    "aggregation": (None, "aggregation", "string"),
-    "per_view_anchors": (None, "per_view_anchors", "boolean"),
 }
-_JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "boolean": bool}
+_JSON_TYPES = {"integer": int, "number": (int, float), "string": str}
 _GROUPS = {None: CompressionConfig, "expand": ExpandParams, "merge": MergeParams}
 
 def load_config(path=None) -> CompressionConfig:
@@ -68,7 +66,7 @@ def load_config(path=None) -> CompressionConfig:
     for key, value in raw.items():
         group, name, kind = CONFIG_KEYS[key]
         # bool is a subclass of int in Python, but JSON true/false is no number
-        if not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool) != (kind == "boolean"):
+        if not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool):
             raise ParameterError(f"config key {key} must be a JSON {kind}, got {value!r}")
         if name != key:
             # the range check's message names the field; run it on this value
@@ -227,9 +225,7 @@ def _cmd_pipeline(args) -> list[str]:
 
 
 def _cmd_cost(args) -> list[str]:
-    spec = BackboneSpec(
-        layers=args.layers, hidden_dim=args.hidden_dim, ff_dim=args.ff_dim, heads=args.heads
-    )
+    spec = BackboneSpec(layers=args.layers, hidden_dim=args.hidden_dim, ff_dim=args.ff_dim)
     baseline = parse_schedule(args.baseline, args.layers, args.non_visual)
     candidate = parse_schedule(args.candidate, args.layers, args.non_visual)
     return [
@@ -275,7 +271,7 @@ def _cmd_viz(args) -> list[str]:
     grid = parse_grid(args.grid)
     e_img = read_tokens(args.tokens)
     e_lang = read_tokens(args.lang)
-    mask = anchor_mask(e_lang, e_img, grid, per_view=config.per_view_anchors)
+    mask = anchor_mask(e_lang, e_img, grid)
     if args.mask_stage == "expand":
         mask = expand_mask(mask, config.expand, RngState(config.seed))
     paths = _mask_files(mask, args.out)
@@ -373,7 +369,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--non-visual", type=int, default=0)
     p.add_argument("--hidden-dim", type=int, default=4096)
     p.add_argument("--ff-dim", type=int, default=11008)
-    p.add_argument("--heads", type=int, default=32)
     _add_report_args(p)
     p.set_defaults(func=_cmd_cost)
 

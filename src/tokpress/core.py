@@ -89,10 +89,6 @@ class PatchGrid:
                 raise ParameterError(f"PatchGrid.{axis} must be >= 1")
 
     @property
-    def tokens_per_view(self) -> int:
-        return self.height * self.width
-
-    @property
     def total(self) -> int:
         return self.views * self.height * self.width
 

@@ -22,7 +22,8 @@ from .core import ParameterError, ShapeError
 
 @dataclass(frozen=True)
 class BackboneSpec:
-    """Transformer dimensions the cost formula needs."""
+    """Transformer dimensions; the cost formula ignores ``heads``, which stays
+    only for the ``perfbench`` decoder until ROADMAP item 2 removes it."""
 
     layers: int = 32
     hidden_dim: int = 4096
@@ -33,10 +34,6 @@ class BackboneSpec:
         for field in ("layers", "hidden_dim", "ff_dim", "heads"):
             if getattr(self, field) < 1:
                 raise ParameterError(f"BackboneSpec.{field} must be >= 1")
-        if self.hidden_dim % self.heads != 0:
-            raise ParameterError(
-                f"hidden_dim {self.hidden_dim} not divisible by heads {self.heads}"
-            )
 
 
 #: 7B-class decoder dimensions, the scale the compression targets

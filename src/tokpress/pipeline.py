@@ -3,8 +3,8 @@
 Stage one runs before the backbone: language tokens vote for anchor cells,
 the mask grows by density expansion, a stride context sample is unioned in,
 and only the surviving visual tokens are kept. Stage two runs at a chosen
-mid-layer: guidance tokens rank the remaining visual tokens, the top m
-become merge sources, and the rest are absorbed into them.
+mid-layer: guidance tokens rank the remaining visual tokens, the top
+min(rows, m) become merge sources, and the rest are absorbed into them.
 
 No transformer is executed here. The backbone between the two reduction
 points is modeled as identity (embeddings pass through unchanged), because
@@ -25,7 +25,7 @@ from .costmodel import TokenSchedule
 from .expand import ExpandParams, expand_mask
 from .merge import MergeParams, MergeReport, _fold
 from .sampling import context_indices, keep_set
-from .similarity import AGGREGATIONS, _anchor_mask, _relevance, top_m
+from .similarity import _anchor_mask, _relevance, top_m
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,6 @@ class CompressionConfig:
     merge_layer: int = 16
     total_layers: int = 32
     seed: int = 0
-    aggregation: str = "max"
-    # score anchors inside each camera view instead of across the whole sequence
-    per_view_anchors: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.context_fraction <= 1.0:
@@ -56,8 +53,6 @@ class CompressionConfig:
             raise ParameterError(
                 f"merge_layer {self.merge_layer} out of range [0, {self.total_layers})"
             )
-        if self.aggregation not in AGGREGATIONS:
-            raise ParameterError(f"aggregation must be one of {AGGREGATIONS}")
         if not 0 <= self.seed < 2**64:
             raise ParameterError("seed must be an unsigned 64-bit integer")
 
@@ -98,7 +93,7 @@ class PipelineResult:
 
 
 def _prune(e_img, e_lang, grid: PatchGrid, config: CompressionConfig):
-    anchors = _anchor_mask(e_lang, e_img, grid, config.per_view_anchors)
+    anchors = _anchor_mask(e_lang, e_img, grid)
     expanded = expand_mask(anchors, config.expand, RngState(config.seed))
     context = context_indices(grid.total, config.context_fraction)
     kept_idx = keep_set(expanded, context)
@@ -123,15 +118,15 @@ def prune_stage(e_img, e_lang, grid: PatchGrid, config: CompressionConfig):
     return _prune(e_img, _tokens(e_lang, "e_lang", e_img.shape[1], nonempty=True), grid, config)
 
 
-def _merge(hidden, guidance, start: int, stop: int, config: CompressionConfig, m: int):
-    # one float64 upcast and one pass of squared norms serve scoring and merging
-    visual = hidden[start:stop].astype(np.float64)
+def _merge(visual, guidance, config: CompressionConfig):
+    # min(rows, m) sources; one upcast and one pass of norms serve scoring and merging
+    rows = visual.shape[0]
+    visual = visual.astype(np.float64)
     sq = sq_norms(visual)
-    source = top_m(_relevance(visual, sq, guidance, config.aggregation), m)
-    rest = np.setdiff1d(np.arange(stop - start, dtype=np.int64), source, assume_unique=True)
+    source = top_m(_relevance(visual, sq, guidance), min(rows, config.merge.m))
+    rest = np.setdiff1d(np.arange(rows, dtype=np.int64), source, assume_unique=True)
     merged, absorbed = _fold(visual[source], sq[source], visual[rest], sq[rest], config.merge.mode)
-    report = MergeReport(source + start, absorbed, stop - start, m)
-    return np.vstack([hidden[:start], merged, hidden[stop:]]), report
+    return merged, source, absorbed
 
 
 def _visual_span(visual_range, rows: int) -> tuple[int, int]:
@@ -152,24 +147,23 @@ def _visual_span(visual_range, rows: int) -> tuple[int, int]:
 
 
 def merge_stage(hidden, guidance, visual_range, config: CompressionConfig):
-    """Stage two: replace the visual rows of ``hidden`` by m merged sources.
+    """Stage two: replace the visual rows of ``hidden`` by min(span, m) merged sources.
 
     ``visual_range`` is the contiguous row span holding visual tokens, a
     (start, stop) pair of integers or a step-1 ``range``; rows outside it
-    pass through untouched. Returns the shortened sequence and the
-    MergeReport (source positions are absolute row indices of the input
-    sequence). Anything else as ``visual_range``, or an m larger than the
-    span, raises ParameterError; a reversed span or one outside ``hidden``,
-    and guidance with no rows or another width than ``hidden``, raise
-    ShapeError.
+    pass through untouched, and a span of m rows or fewer passes through
+    unmerged. Returns the shortened sequence and the MergeReport (source
+    positions are absolute row indices of the input sequence). Anything
+    else as ``visual_range`` raises ParameterError; a reversed span or one
+    outside ``hidden``, and guidance with no rows or another width than
+    ``hidden``, raise ShapeError.
     """
     hidden = _tokens(hidden, "hidden")
     guidance = _tokens(guidance, "guidance", hidden.shape[1], nonempty=True)
     start, stop = _visual_span(visual_range, hidden.shape[0])
-    m = config.merge.m
-    if m > stop - start:
-        raise ParameterError(f"merge source count {m} exceeds {stop - start} visual tokens")
-    return _merge(hidden, guidance, start, stop, config, m)
+    merged, source, absorbed = _merge(hidden[start:stop], guidance, config)
+    report = MergeReport(source + start, absorbed, stop - start, merged.shape[0])
+    return np.vstack([hidden[:start], merged, hidden[stop:]]), report
 
 
 def run_pipeline(e_img, e_lang, guidance, grid: PatchGrid, config: CompressionConfig) -> PipelineResult:
@@ -189,14 +183,14 @@ def run_pipeline(e_img, e_lang, guidance, grid: PatchGrid, config: CompressionCo
     t0 = time.perf_counter()
     kept, kept_idx, prune_rep = _prune(e_img, e_lang, grid, config)
     t1 = time.perf_counter()
-    hidden = np.vstack([kept, e_lang, guidance])
-    merged = min(prune_rep.kept, config.merge.m)
-    compressed, merge_rep = _merge(hidden, guidance, 0, kept.shape[0], config, merged)
+    merged, source, absorbed = _merge(kept, guidance, config)
+    compressed = np.vstack([merged, e_lang, guidance])
+    merge_rep = MergeReport(source, absorbed, prune_rep.kept, merged.shape[0])
     t2 = time.perf_counter()
 
     schedule = TokenSchedule.two_stage(
         kept=prune_rep.kept,
-        merged=merged,
+        merged=merge_rep.tokens_after,
         merge_layer=config.merge_layer,
         layers=config.total_layers,
         non_visual=e_lang.shape[0] + guidance.shape[0],

@@ -26,8 +26,6 @@ from .core import (
     sq_norms,
 )
 
-AGGREGATIONS = ("max", "mean")
-
 _U32 = 2.0**-24  # float32 unit roundoff
 _SAFE_SQ = (2.0**-60, 2.0**60)  # float32 squared row norms the screen's bound covers
 
@@ -81,52 +79,45 @@ def _argmax_cosine(lang: np.ndarray, img: np.ndarray) -> np.ndarray:
     return cols[np.argmax(sims, axis=1)]
 
 
-def _anchor_mask(e_lang: np.ndarray, e_img: np.ndarray, grid: PatchGrid, per_view: bool) -> BinaryMask:
+def _anchor_mask(e_lang: np.ndarray, e_img: np.ndarray, grid: PatchGrid) -> BinaryMask:
     # the first step of stage one, and the one home of the grid row-count check
     if e_img.shape[0] != grid.total:
         raise ShapeError(f"e_img: {e_img.shape[0]} rows, grid expects {grid.total}")
     flat = np.zeros(grid.total, dtype=bool)
-    span = grid.tokens_per_view if per_view else grid.total
-    for start in range(0, grid.total, span):
-        flat[_argmax_cosine(e_lang, e_img[start : start + span]) + start] = True
+    flat[_argmax_cosine(e_lang, e_img)] = True
     return BinaryMask(grid, flat.reshape(grid.shape))
 
 
-def anchor_mask(e_lang, e_img, grid: PatchGrid, *, per_view: bool = False) -> BinaryMask:
+def anchor_mask(e_lang, e_img, grid: PatchGrid) -> BinaryMask:
     """Mark, for every language token, the grid cell of its most similar image token.
 
-    Bits are the union over language tokens (set semantics, so at most
+    The argmax runs over the whole sequence, every camera view at once. Bits
+    are the union over language tokens (set semantics, so at most
     ``e_lang.rows`` bits are set). Similarity is the float64 cosine; the
     float32 screen only narrows the rows that get scored, never the result.
-    Argmax ties resolve to the lower token index. With ``per_view=True`` the
-    argmax is taken inside each camera view separately, one anchor per view
-    per language token, instead of across the concatenated sequence.
+    Argmax ties resolve to the lower token index.
     """
     e_img = _tokens(e_img, "e_img")
     e_lang = _tokens(e_lang, "e_lang", e_img.shape[1], nonempty=True)
-    return _anchor_mask(e_lang, e_img, grid, per_view)
+    return _anchor_mask(e_lang, e_img, grid)
 
 
-def _relevance(visual: np.ndarray, visual_sq: np.ndarray, guides: np.ndarray, aggregation: str) -> np.ndarray:
+def _relevance(visual: np.ndarray, visual_sq: np.ndarray, guides: np.ndarray) -> np.ndarray:
     # visual is float64 with its squared row norms; guides is a checked token matrix
     guides = guides.astype(np.float64)
     sims = _cosine(visual @ guides.T, visual_sq, sq_norms(guides))
-    scores = sims.max(axis=1) if aggregation == "max" else sims.mean(axis=1)
-    return scores.astype(np.float32)
+    return sims.max(axis=1).astype(np.float32)
 
 
-def relevance_scores(e_img, guides, *, aggregation: str = "max") -> np.ndarray:
-    """Score each image token by cosine similarity to a set of guidance tokens.
+def relevance_scores(e_img, guides) -> np.ndarray:
+    """Score each image token by its largest cosine similarity to any guidance token.
 
-    ``aggregation`` collapses the per-guide similarities: "max" (default,
-    robust to irrelevant guides) or "mean". Similarities are computed in
-    float64; returns float32, one score per image token.
+    The max keeps scores robust to irrelevant guides. Similarities are
+    computed in float64; returns float32, one score per image token.
     """
-    if aggregation not in AGGREGATIONS:
-        raise ParameterError(f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
     visual = _tokens(e_img, "e_img", nonempty=True).astype(np.float64)
     guides = _tokens(guides, "guides", visual.shape[1], nonempty=True)
-    return _relevance(visual, sq_norms(visual), guides, aggregation)
+    return _relevance(visual, sq_norms(visual), guides)
 
 
 def top_m(scores, m: int) -> np.ndarray:

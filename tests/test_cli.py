@@ -18,9 +18,11 @@ from tokpress.cli import CONFIG_KEYS, load_config, main, parse_grid, parse_sched
 from tokpress.core import ParameterError, ShapeError
 from tokpress.expand import ExpandParams
 from tokpress.merge import MergeParams
-from tokpress.pipeline import CompressionConfig, prune_stage, run_pipeline
+from tokpress.pipeline import CompressionConfig, run_pipeline
 from tokpress.tokenfile import read_tokens, write_tokens
 
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # range errors of keys whose CompressionConfig fields are named otherwise (threshold, m)
 RANGE_ERRORS = [('{"tau": -1}', "tau"), ('{"top_m": 0}', "top_m")]
@@ -54,7 +56,6 @@ def config_path(tmp_path):
                 "merge_layer": 16,
                 "total_layers": 32,
                 "seed": 11,
-                "aggregation": "max",
             }
         )
     )
@@ -67,7 +68,7 @@ class TestConfig:
         assert cfg.expand.kernel_size == 3 and cfg.expand.threshold == 1
         assert cfg.context_fraction == 0.25 and cfg.merge.m == 80
         assert cfg.merge_layer == 16 and cfg.total_layers == 32
-        assert cfg.merge.mode == "soft" and cfg.aggregation == "max"
+        assert cfg.merge.mode == "soft"
 
     def test_partial_file_fills_defaults(self, tmp_path):
         path = tmp_path / "c.json"
@@ -80,12 +81,6 @@ class TestConfig:
         path = tmp_path / "c.json"
         path.write_text('{"kernel": 3}')
         with pytest.raises(ParameterError, match="kernel"):
-            load_config(path)
-
-    def test_per_view_anchors_must_be_boolean(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text('{"per_view_anchors": "false"}')
-        with pytest.raises(ParameterError, match="per_view_anchors"):
             load_config(path)
 
     @pytest.mark.parametrize(
@@ -138,8 +133,6 @@ class TestConfig:
             "merge_layer": 3,
             "total_layers": 8,
             "seed": 7,
-            "aggregation": "mean",
-            "per_view_anchors": True,
         }
         assert set(values) == set(CONFIG_KEYS)
         default = CompressionConfig()
@@ -154,9 +147,16 @@ class TestConfig:
             merge_layer=3,
             total_layers=8,
             seed=7,
-            aggregation="mean",
-            per_view_anchors=True,
         )
+
+    def test_readme_config_block_spells_out_the_defaults(self, tmp_path):
+        # the ```json block under README's "### Config" heading
+        section = README.read_text(encoding="utf-8").split("\n### Config\n", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert set(json.loads(block)) == set(CONFIG_KEYS)
+        path = tmp_path / "readme.json"
+        path.write_text(block)
+        assert load_config(path) == CompressionConfig()
 
     def test_non_object_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -322,26 +322,39 @@ class TestSubcommands:
         assert read_tokens(out).shape[0] == 80
         assert abs(float(rep["weight_total"]) - 432.0) < 1e-3
 
-    def test_per_view_anchors_key_reaches_viz_prune_and_pipeline(self, workload_dir, tmp_path, capsys):
-        path = tmp_path / "per_view.json"
-        path.write_text('{"per_view_anchors": true}')
-        config = load_config(path)
-        assert config.per_view_anchors
-        grid = parse_grid("2x16x16")
-        img, lang = read_tokens(workload_dir / "img.tkb"), read_tokens(workload_dir / "lang.tkb")
-        _, want_idx, want = prune_stage(img, lang, grid, config)
-        assert want.anchors != prune_stage(img, lang, grid, load_config(None))[2].anchors
+    def test_prune_then_merge_matches_pipeline_on_a_small_scene(self, tmp_path, capsys):
+        # 1x8x8 keeps fewer rows than m = 80; merge_stage then passes them
+        # through unmerged, as run_pipeline does
+        w = tmp_path / "w"
+        assert main(["gen", "--out-dir", str(w), "--grid", "1x8x8"]) == 0
+        scene = ["--tokens", str(w / "img.tkb"), "--lang", str(w / "lang.tkb"), "--grid", "1x8x8"]
+        assert main(["prune", *scene, "--out", str(tmp_path / "kept.tkb")]) == 0
+        capsys.readouterr()
+        guidance = ["--guidance", str(w / "guidance.tkb")]
+        kept = ["--tokens", str(tmp_path / "kept.tkb")]
+        assert main(["merge", *kept, *guidance, "--out", str(tmp_path / "merged.tkb")]) == 0
+        rep = report_dict(capsys.readouterr().out)
+        assert (rep["tokens_before"], rep["tokens_after"], rep["absorbed"]) == ("51", "51", "0")
+        pipe = ["pipeline", *scene, *guidance, "--out", str(tmp_path / "pipe.tkb"), "--no-timing"]
+        assert main(pipe) == 0
+        assert report_dict(capsys.readouterr().out)["final_visual"] == "51"
+        merged = read_tokens(tmp_path / "merged.tkb")
+        assert merged.tobytes() == read_tokens(tmp_path / "pipe.tkb")[:51].tobytes()
 
-        args = ["--tokens", str(workload_dir / "img.tkb"), "--lang", str(workload_dir / "lang.tkb"),
-                "--grid", "2x16x16", "--config", str(path)]  # fmt: skip
-        assert main(["viz", *args, "--out", str(tmp_path / "pv"), "--mask-stage", "anchor"]) == 0
-        assert int(report_dict(capsys.readouterr().out)["bits"]) == want.anchors
-        assert main(["prune", *args]) == 0
+    def test_cost_ignores_head_count(self, capsys):
+        # 100 is not a multiple of the old default of 32 heads; the ratio is
+        # the formula's, term by term: 8nd^2 + 4n^2d + 4nd*d_ff per layer
+        argv = ["cost", "--baseline", "flat:512", "--candidate", "step:196,80@16",
+                "--layers", "32", "--hidden-dim", "100", "--ff-dim", "300"]  # fmt: skip
+        assert main(argv) == 0
         rep = report_dict(capsys.readouterr().out)
-        assert [int(i) for i in rep["kept_indices"].split(",")] == want_idx.tolist()
-        assert main(["pipeline", *args, "--no-timing"]) == 0
-        rep = report_dict(capsys.readouterr().out)
-        assert (int(rep["anchors"]), int(rep["expanded"]), int(rep["kept"])) == (want.anchors, want.expanded, want.kept)
+
+        def layer(n, d=100, d_ff=300):
+            return 8 * n * d * d + 4 * n * n * d + 4 * n * d * d_ff
+
+        base, cand = 32 * layer(512), 16 * layer(196) + 16 * layer(80)
+        assert (rep["baseline_flops"], rep["candidate_flops"]) == (str(base), str(cand))
+        assert rep["ratio"] == repr(cand / base)
 
     def test_cost_identity_ratio(self, capsys):
         code = main(["cost", "--baseline", "flat:576", "--candidate", "flat:576"])
@@ -561,8 +574,29 @@ class TestErrorPaths:
                 "--visual", "0:40",
             ]
         )
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        # m = 80 covers the 40-row span, which passes through unmerged
+        assert code == 0
+        rep = report_dict(capsys.readouterr().out)
+        assert rep["tokens_after"] == "40" and rep["absorbed"] == "0"
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [('{"aggregation": "max"}', "aggregation"), ('{"per_view_anchors": false}', "per_view_anchors")],
+    )
+    @pytest.mark.parametrize("command", ["prune", "pipeline", "viz", "merge"])
+    def test_deleted_config_keys_are_unknown(self, tmp_path, workload_dir, capsys, command, text, key):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        img, lang = str(workload_dir / "img.tkb"), str(workload_dir / "lang.tkb")
+        argv = {
+            "prune": ["prune", "--tokens", img, "--lang", lang, "--grid", "2x16x16"],
+            "pipeline": ["pipeline", "--tokens", img, "--lang", lang, "--grid", "2x16x16"],
+            "viz": ["viz", "--tokens", img, "--lang", lang, "--grid", "2x16x16", "--out", str(tmp_path / "m")],
+            "merge": ["merge", "--tokens", img, "--guidance", str(workload_dir / "guidance.tkb")],
+        }[command]
+        assert main(argv + ["--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: unknown config keys: {key}\n"
 
     def test_bench_zero_reps(self, capsys):
         code = main(["bench", "--stage", "expand", "--reps", "0"])

@@ -26,10 +26,6 @@ class TestBackboneSpec:
         with pytest.raises(ParameterError):
             BackboneSpec(layers=0)
 
-    def test_head_divisibility(self):
-        with pytest.raises(ParameterError):
-            BackboneSpec(hidden_dim=100, heads=32)
-
 
 class TestTokenSchedule:
     def test_flat(self):

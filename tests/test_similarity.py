@@ -87,17 +87,6 @@ class TestAnchorMask:
         assert set(mask.token_indices().tolist()) == oracles.anchor_cells(e_lang, e_img)
         assert mask.count() <= 4
 
-    def test_per_view_takes_one_anchor_per_view(self):
-        grid = PatchGrid(2, 3, 3)
-        e_img, e_lang = rand((18, 6), 6), rand((2, 6), 7)
-        mask = anchor_mask(e_lang, e_img, grid, per_view=True)
-        expected = set()
-        for v in range(2):
-            block = e_img[v * 9 : (v + 1) * 9]
-            expected |= {c + v * 9 for c in oracles.anchor_cells(e_lang, block)}
-        assert set(mask.token_indices().tolist()) == expected
-        assert mask.view(0).sum() >= 1 and mask.view(1).sum() >= 1
-
     def test_argmax_tie_goes_low(self):
         grid = PatchGrid(1, 1, 3)
         e_img = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
@@ -119,14 +108,6 @@ class TestAnchorMask:
         base = anchor_mask(e_lang, e_img, grid)
         scaled = anchor_mask(e_lang * np.float32(7.5), e_img, grid)
         assert np.array_equal(base.bits, scaled.bits)
-
-
-def oracle_anchor_bits(e_lang, e_img, grid, per_view):
-    span = grid.tokens_per_view if per_view else grid.total
-    cells = set()
-    for start in range(0, grid.total, span):
-        cells |= {c + start for c in oracles.anchor_cells(e_lang, e_img[start : start + span])}
-    return cells
 
 
 class TestScreenedArgmax:
@@ -182,9 +163,8 @@ class TestScreenedArgmax:
         e_img[::3] *= np.float32(img_scale)
         e_img[1::3] *= np.float32(1e8)
         e_lang[::2] *= np.float32(lang_scale)
-        for per_view in (False, True):
-            got = anchor_mask(e_lang, e_img, grid, per_view=per_view)
-            assert set(got.token_indices().tolist()) == oracle_anchor_bits(e_lang, e_img, grid, per_view)
+        got = anchor_mask(e_lang, e_img, grid)
+        assert set(got.token_indices().tolist()) == oracles.anchor_cells(e_lang, e_img)
 
     def test_subnormal_language_row(self):
         # unscaled, both float32 products with row 0 round to zero and row 1 wins the screen
@@ -200,10 +180,9 @@ class TestScreenedArgmax:
         st.integers(1, 5),
         st.integers(1, 5),
         st.integers(1, 24),
-        st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_oracle_on_random_grids(self, seed, views, h, w, d, per_view):
+    def test_matches_oracle_on_random_grids(self, seed, views, h, w, d):
         gen = np.random.default_rng(seed)
         grid = PatchGrid(views, h, w)
         e_img = gen.standard_normal((grid.total, d)).astype(np.float32)
@@ -213,8 +192,8 @@ class TestScreenedArgmax:
         dup = gen.random(n) < 0.2
         e_img[dup] = e_img[int(gen.integers(0, n))]
         e_img *= np.float32(10.0) ** gen.choice([-30, 0, 20], size=(n, 1)).astype(np.float32)
-        got = anchor_mask(e_lang, e_img, grid, per_view=per_view)
-        assert set(got.token_indices().tolist()) == oracle_anchor_bits(e_lang, e_img, grid, per_view)
+        got = anchor_mask(e_lang, e_img, grid)
+        assert set(got.token_indices().tolist()) == oracles.anchor_cells(e_lang, e_img)
 
 
 class TestRelevanceScores:
@@ -232,15 +211,6 @@ class TestRelevanceScores:
         e_img, guides = rand((8, 6), 11), rand((3, 6), 12)
         expected = oracles.cosine(e_img, guides).max(axis=1)
         assert np.allclose(relevance_scores(e_img, guides), expected, atol=1e-6)
-
-    def test_mean_matches_oracle(self):
-        e_img, guides = rand((8, 6), 13), rand((3, 6), 14)
-        expected = oracles.cosine(e_img, guides).mean(axis=1)
-        assert np.allclose(relevance_scores(e_img, guides, aggregation="mean"), expected, atol=1e-6)
-
-    def test_unknown_aggregation(self):
-        with pytest.raises(ParameterError):
-            relevance_scores(rand((2, 3), 0), rand((1, 3), 1), aggregation="median")
 
     @pytest.mark.parametrize("shape", [(0, 3), (2, 4)])
     def test_guide_errors_name_guides(self, shape):
