@@ -29,6 +29,15 @@ class GridRangeError(IndexError):
     """A coordinate or token index is outside its grid or sequence."""
 
 
+def _check_integer(value, name: str) -> None:
+    """Raise a ParameterError naming ``name`` unless ``value`` is a Python or numpy integer.
+
+    ``bool`` subclasses ``int`` but is no count, so it is rejected too.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def token_matrix(data, *, name: str = "tokens") -> np.ndarray:
     """Validate and coerce ``data`` to an n x d float32 token matrix.
 
@@ -169,6 +178,7 @@ class RngState:
     DRAW_SLOTS = 16
 
     def __post_init__(self) -> None:
+        _check_integer(self.seed, "seed")
         if not 0 <= self.seed < 2**64:
             raise ParameterError("seed must be an unsigned 64-bit integer")
 

@@ -1,7 +1,8 @@
 """Mask expansion: density map, dense dilation, and seeded sparse flips.
 
 A sparse anchor mask rarely covers a whole object. The density map counts,
-for each cell, how many mask bits fall inside the k x k window around it.
+for each cell, how many mask bits fall inside the k x k window around it;
+the counts come from per-view 2-D prefix sums, so they are exact integers.
 Cells whose count clears a threshold get their entire window set (a plain
 morphological dilation); cells with a small positive count instead flip one
 extra unset cell in their window, chosen by a seeded draw, which lets thin
@@ -19,9 +20,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .core import BinaryMask, ParameterError, RngState, _accepts
+from .core import BinaryMask, ParameterError, RngState, _accepts, _check_integer
+
+
+def _check_kernel(kernel_size) -> None:
+    _check_integer(kernel_size, "kernel_size")
+    if kernel_size < 1 or kernel_size % 2 == 0:
+        raise ParameterError(f"kernel_size must be odd and >= 1, got {kernel_size}")
+
+
+def _window_counts(cells: np.ndarray, k: int) -> np.ndarray:
+    """Set cells in the k x k window around each cell of a (views, h, w) array, per view.
+
+    Each view sits in a zero buffer with k // 2 + 1 zero rows and columns
+    before it and k // 2 after, whose 2-D prefix sums C give every window,
+    clipped at the view border, as four corner reads:
+    C[i + k, j + k] - C[i, j + k] - C[i + k, j] + C[i, j].
+    """
+    views, h, w = cells.shape
+    lead = k // 2 + 1
+    c = np.zeros((views, h + k, w + k), dtype=np.int64)
+    c[:, lead : lead + h, lead : lead + w] = cells
+    np.cumsum(c, axis=1, out=c)
+    np.cumsum(c, axis=2, out=c)
+    return c[:, k:, k:] - c[:, :-k, k:] - c[:, k:, :-k] + c[:, :-k, :-k]
 
 
 @dataclass(frozen=True)
@@ -32,8 +55,8 @@ class ExpandParams:
     threshold: int = 1
 
     def __post_init__(self) -> None:
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ParameterError(f"kernel_size must be odd and >= 1, got {self.kernel_size}")
+        _check_kernel(self.kernel_size)
+        _check_integer(self.threshold, "threshold")
         if self.threshold < 0:
             raise ParameterError(f"threshold must be >= 0, got {self.threshold}")
 
@@ -42,13 +65,12 @@ def density_map(mask: BinaryMask, kernel_size: int) -> np.ndarray:
     """Count set bits in the k x k window centered at each cell.
 
     Windows are clipped at view borders (zero padding), and never cross a
-    view boundary. Returns a read-only int64 array shaped like the grid,
-    with counts in [0, k*k].
+    view boundary. The counts are read off 2-D prefix sums of each view, in
+    exact integer arithmetic. Returns a read-only int64 array shaped like
+    the grid, with counts in [0, k*k].
     """
-    if kernel_size < 1 or kernel_size % 2 == 0:
-        raise ParameterError(f"kernel_size must be odd and >= 1, got {kernel_size}")
-    kernel = np.ones((1, kernel_size, kernel_size), dtype=np.int64)
-    counts = ndimage.convolve(mask.bits.astype(np.int64), kernel, mode="constant", cval=0)
+    _check_kernel(kernel_size)
+    counts = _window_counts(mask.bits, kernel_size)
     counts.setflags(write=False)
     return counts
 
@@ -87,8 +109,7 @@ def expand_mask(mask: BinaryMask, params: ExpandParams, rng: RngState) -> Binary
     out = mask.bits.copy()
     dense = counts > tau
     if dense.any():
-        structure = np.ones((1, k, k), dtype=bool)
-        out |= ndimage.binary_dilation(dense, structure=structure)
+        out |= _window_counts(dense, k) > 0  # the dilation: a dense cell lies in the window
 
     v, i, j = np.nonzero((counts > 0) & (counts < tau))  # view-major, row-major scan order
     if v.size == 0:

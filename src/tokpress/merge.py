@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, ShapeError, _tokens, index_set, sq_norms, token_matrix
+from .core import ParameterError, ShapeError, _check_integer, _tokens, index_set, sq_norms, token_matrix
 
 MODES = ("soft", "hard")
 #: added to the mean square in every RMS scale, so zero rows stay at zero;
@@ -38,6 +38,7 @@ class MergeParams:
     mode: str = "soft"
 
     def __post_init__(self) -> None:
+        _check_integer(self.m, "m")
         if self.m < 1:
             raise ParameterError(f"source-set size m must be >= 1, got {self.m}")
         if self.mode not in MODES:

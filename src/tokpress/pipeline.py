@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ParameterError, PatchGrid, RngState, ShapeError, _tokens, sq_norms
+from .core import ParameterError, PatchGrid, RngState, ShapeError, _check_integer, _tokens, sq_norms
 from .costmodel import TokenSchedule
 from .expand import ExpandParams, expand_mask
 from .merge import MergeParams, MergeReport, _fold
@@ -47,14 +47,15 @@ class CompressionConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.context_fraction <= 1.0:
             raise ParameterError(f"context_fraction must lie in [0, 1], got {self.context_fraction}")
+        _check_integer(self.total_layers, "total_layers")
+        _check_integer(self.merge_layer, "merge_layer")
         if self.total_layers < 1:
             raise ParameterError("total_layers must be >= 1")
         if not 0 <= self.merge_layer < self.total_layers:
             raise ParameterError(
                 f"merge_layer {self.merge_layer} out of range [0, {self.total_layers})"
             )
-        if not 0 <= self.seed < 2**64:
-            raise ParameterError("seed must be an unsigned 64-bit integer")
+        RngState(self.seed)  # the one seed check
 
 
 @dataclass(frozen=True)

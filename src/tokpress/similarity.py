@@ -123,10 +123,11 @@ def relevance_scores(e_img, guides) -> np.ndarray:
 def top_m(scores, m: int) -> np.ndarray:
     """Indices of the ``m`` largest scores as a sorted index set.
 
-    Ties break toward the lower index; the selection is deterministic for a
-    fixed input.
+    Scores are ranked in float64, which holds float32 scores exactly. Ties
+    break toward the lower index; the selection is deterministic for a fixed
+    input.
     """
-    scores = np.asarray(scores, dtype=np.float32)
+    scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1:
         raise ShapeError(f"scores must be 1-D, got shape {scores.shape}")
     if scores.size and not np.isfinite(scores).all():
@@ -135,5 +136,5 @@ def top_m(scores, m: int) -> np.ndarray:
         raise GridRangeError(f"m {m} out of range [0, {scores.size}]")
     if m == 0:
         return np.empty(0, dtype=np.int64)
-    order = np.argsort(-scores.astype(np.float64), kind="stable")
+    order = np.argsort(-scores, kind="stable")
     return index_set(order[:m])

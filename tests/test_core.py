@@ -132,6 +132,14 @@ class TestRngState:
         with pytest.raises(ParameterError):
             RngState(2**64)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ParameterError, match="^seed must be an integer"):
+            RngState(seed)
+
+    def test_numpy_integer_seed_gives_the_same_stream(self):
+        assert np.array_equal(RngState(np.uint64(7)).values(0, 20), RngState(7).values(0, 20))
+
     def test_equal_seeds_equal_streams(self):
         # 10^6 draws, bitwise
         a = RngState(12345).values(0, 1_000_000)

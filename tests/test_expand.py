@@ -23,6 +23,12 @@ def random_mask(grid, fill, seed):
     return BinaryMask(grid, rng.random(grid.shape) < fill)
 
 
+#: 1-3 views of 1-12 rows and columns, with odd windows up to 13 wide, so
+#: windows can be wider than the grid in either direction
+GRIDS = st.builds(PatchGrid, st.integers(1, 3), st.integers(1, 12), st.integers(1, 12))
+KERNELS = st.sampled_from(range(1, 14, 2))
+
+
 class TestExpandParams:
     @pytest.mark.parametrize("k", [0, 2, 4, -1])
     def test_even_or_nonpositive_kernel(self, k):
@@ -62,6 +68,11 @@ class TestDensityMap:
         with pytest.raises(ParameterError):
             density_map(BinaryMask.zeros(PatchGrid(1, 3, 3)), 2)
 
+    @pytest.mark.parametrize("k", [3.0, True, np.float64(5)])
+    def test_non_integer_kernel_rejected(self, k):
+        with pytest.raises(ParameterError, match="^kernel_size must be an integer"):
+            density_map(BinaryMask.zeros(PatchGrid(1, 3, 3)), k)
+
     def test_counts_frozen(self):
         counts = density_map(BinaryMask.zeros(PatchGrid(1, 2, 2)), 3)
         assert counts.dtype == np.int64 and counts.shape == (1, 2, 2)
@@ -86,6 +97,12 @@ class TestDensityMap:
         mask = random_mask(PatchGrid(2, 6, 7), 0.2, seed)
         assert np.array_equal(density_map(mask, k), oracles.density_counts(mask.bits, k))
 
+    @given(st.integers(0, 2**32 - 1), GRIDS, KERNELS, st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_oracle_on_any_grid(self, seed, grid, k, fill):
+        mask = random_mask(grid, fill, seed)
+        assert np.array_equal(density_map(mask, k), oracles.density_counts(mask.bits, k))
+
 
 class TestExpandMask:
     def test_empty_stays_empty(self):
@@ -101,6 +118,14 @@ class TestExpandMask:
         expected = np.zeros(grid.shape, dtype=bool)
         expected[0, 1:6, 1:6] = True
         assert np.array_equal(out.bits, expected)
+
+    @given(st.integers(0, 2**32 - 1), GRIDS, KERNELS, st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_tau0_matches_dense_region_on_any_grid(self, seed, grid, k, fill):
+        # no count is below 0, so at tau = 0 only the dense rule runs
+        mask = random_mask(grid, fill, seed)
+        out = expand_mask(mask, ExpandParams(k, 0), RngState(seed))
+        assert np.array_equal(out.bits, oracles.dense_region(mask.bits, k, 0))
 
     def test_single_seed_tau1_inert(self):
         grid = PatchGrid(1, 5, 5)

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+third-party package it imports is a declared dependency.
 
 Deleting code tends to leave its imports behind; this catches them. The
 package ``__init__`` re-exports names on purpose and is exempt, as is
@@ -6,13 +7,19 @@ package ``__init__`` re-exports names on purpose and is exempt, as is
 """
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import tokpress
 
-MODULES = sorted(p for p in Path(tokpress.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(tokpress.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +45,47 @@ def test_no_unused_imports(path):
 def test_guard_sees_an_unused_import():
     source = "import os\nimport sys\nfrom pathlib import Path as P\nsys.exit(0)\n"
     assert unused_imports(source) == ["line 1: os", "line 3: P"]
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Top-level names of the absolute imports in ``source`` that are not in the standard library."""
+    tree = ast.parse(source)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
+def test_guard_sees_third_party_imports():
+    source = "import os\nimport numpy as np\nfrom scipy import ndimage\nfrom .core import x\n"
+    assert third_party_imports(source) == {"numpy", "scipy"}
+
+
+def test_dependencies_are_exactly_the_imported_packages():
+    tomllib = pytest.importorskip("tomllib")
+    declared = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["dependencies"]
+    # a requirement starts with its distribution name: "numpy>=1.24" declares numpy
+    names = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in declared}
+    sources = (p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py"))
+    imported = set().union(*map(third_party_imports, sources))
+    assert names == imported == {"numpy"}
+
+
+def test_import_loads_no_scipy():
+    probe = (
+        "import sys, tokpress, tokpress.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

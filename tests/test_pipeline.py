@@ -55,6 +55,42 @@ class TestConfig:
         with pytest.raises(ParameterError):
             goal_long(seed=2**64)
 
+    @pytest.mark.parametrize(
+        "field,build",
+        [
+            ("kernel_size", lambda: goal_long(expand=ExpandParams(kernel_size=3.0))),
+            ("kernel_size", lambda: goal_long(expand=ExpandParams(kernel_size=True))),
+            ("threshold", lambda: goal_long(expand=ExpandParams(threshold=1.0))),
+            ("m", lambda: goal_long(merge=MergeParams(m=80.0))),
+            ("m", lambda: goal_long(merge=MergeParams(m=True))),
+            ("merge_layer", lambda: goal_long(merge_layer=16.0)),
+            ("total_layers", lambda: goal_long(total_layers=32.0)),
+            ("seed", lambda: goal_long(seed=1.5)),
+            ("seed", lambda: goal_long(seed=False)),
+        ],
+    )
+    def test_non_integer_field_rejected_before_any_stage(self, monkeypatch, field, build):
+        monkeypatch.setattr(pipeline, "_prune", stage_one)
+        load = load_2view(15)
+        with pytest.raises(ParameterError, match=f"^{field} must be an integer"):
+            run_pipeline(load.e_img, load.e_lang, load.guidance, load.grid, build())
+
+    def test_numpy_integer_fields_match_python_ints(self):
+        load = load_2view(4)
+        as_numpy = CompressionConfig(
+            expand=ExpandParams(np.int64(5), np.int32(6)),
+            merge=MergeParams(m=np.int64(80)),
+            merge_layer=np.int16(16),
+            total_layers=np.uint8(32),
+            seed=np.uint64(9),
+        )
+        as_int = CompressionConfig(expand=ExpandParams(5, 6), seed=9)
+        a = run_pipeline(load.e_img, load.e_lang, load.guidance, load.grid, as_numpy)
+        b = run_pipeline(load.e_img, load.e_lang, load.guidance, load.grid, as_int)
+        assert np.array_equal(a.kept_indices, b.kept_indices)
+        assert np.array_equal(a.compressed, b.compressed)
+        assert np.array_equal(a.report.schedule.visual_counts, b.report.schedule.visual_counts)
+
 
 class TestPruneStage:
     def test_full_context_keeps_everything(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,15 @@ class TestTopM:
 
     def test_tie_breaks_low(self):
         assert top_m(np.array([0.2, 0.9, 0.9, 0.1], dtype=np.float32), 2).tolist() == [1, 2]
+
+    def test_float64_scores_are_ranked_unrounded(self):
+        # both scores round to 1.0 in float32, which would tie them and pick index 0
+        assert top_m(np.array([1.0, 1.0 + 1e-9]), 1).tolist() == [1]
+
+    def test_float64_scores_beyond_float32_range_are_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert top_m(np.array([1e300, 0.0]), 1).tolist() == [0]
 
     def test_m_too_large(self):
         with pytest.raises(GridRangeError):
