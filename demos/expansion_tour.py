@@ -13,7 +13,7 @@ from tokpress import BinaryMask, ExpandParams, PatchGrid, RngState, density_map,
 def show(mask, label):
     print(label)
     for v in range(mask.grid.views):
-        for row in mask.view(v):
+        for row in mask.bits[v]:
             print("  " + "".join("#" if b else "." for b in row))
         print()
 

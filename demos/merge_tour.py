@@ -7,7 +7,7 @@ Run from the repo root after installing the package:
 
 import numpy as np
 
-from tokpress import MergeParams, match_logits, match_weights, rms_norm, soft_bipartite_merge
+from tokpress import MergeParams, match_logits, match_weights, soft_bipartite_merge
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -27,8 +27,10 @@ targets = np.vstack(
 
 # the matching score is a scaled dot product of RMS-normalized rows,
 # so magnitude differences between tokens do not distort it
-print("rms row norms before:", np.linalg.norm(sources, axis=1))
-print("rms row norms after: ", np.linalg.norm(rms_norm(sources), axis=1))
+louder = sources.copy()
+louder[0] *= 10
+print("logits against source 0:           ", match_logits(sources, targets)[:, 0])
+print("logits against source 0 scaled x10:", match_logits(louder, targets)[:, 0])
 print()
 
 logits = match_logits(sources, targets)

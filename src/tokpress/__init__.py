@@ -32,7 +32,6 @@ from .merge import (
     MergeReport,
     match_logits,
     match_weights,
-    rms_norm,
     soft_bipartite_merge,
     split_source_target,
 )
@@ -46,7 +45,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .sampling import context_indices, keep_set
-from .similarity import anchor_mask, cosine_similarity_matrix, relevance_scores, top_m
+from .similarity import anchor_mask, relevance_scores, top_m
 from .tokenfile import (
     MagicError,
     PayloadError,
@@ -83,7 +82,6 @@ __all__ = [
     "MergeReport",
     "match_logits",
     "match_weights",
-    "rms_norm",
     "soft_bipartite_merge",
     "split_source_target",
     "CompressionConfig",
@@ -96,7 +94,6 @@ __all__ = [
     "context_indices",
     "keep_set",
     "anchor_mask",
-    "cosine_similarity_matrix",
     "relevance_scores",
     "top_m",
     "MagicError",

@@ -144,7 +144,7 @@ def _mask_files(mask, out_prefix: str) -> list[str]:
     single = PatchGrid(1, mask.grid.height, mask.grid.width)
     for v in range(mask.grid.views):
         path = f"{prefix}.pgm" if mask.grid.views == 1 else f"{prefix}_v{v}.pgm"
-        export_mask_pgm(BinaryMask(single, mask.view(v)[None, :, :]), path)
+        export_mask_pgm(BinaryMask(single, mask.bits[v : v + 1]), path)
         written.append(path)
     return written
 

@@ -94,6 +94,7 @@ class PatchGrid:
 
     def __post_init__(self) -> None:
         for axis in ("views", "height", "width"):
+            _check_integer(getattr(self, axis), f"PatchGrid.{axis}")
             if getattr(self, axis) < 1:
                 raise ParameterError(f"PatchGrid.{axis} must be >= 1")
 
@@ -125,28 +126,12 @@ class BinaryMask:
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
 
-    @classmethod
-    def zeros(cls, grid: PatchGrid) -> "BinaryMask":
-        return cls(grid, np.zeros(grid.shape, dtype=bool))
-
-    @classmethod
-    def from_token_indices(cls, grid: PatchGrid, indices) -> "BinaryMask":
-        flat = np.zeros(grid.total, dtype=bool)
-        flat[index_set(indices, limit=grid.total, name="mask indices")] = True
-        return cls(grid, flat.reshape(grid.shape))
-
     def token_indices(self) -> np.ndarray:
         """Indices of set cells as a sorted index set (flatnonzero is row-major)."""
         return np.flatnonzero(self.bits.reshape(-1)).astype(np.int64)
 
     def count(self) -> int:
         return int(self.bits.sum())
-
-    def view(self, v: int) -> np.ndarray:
-        """The (height, width) bit plane of one camera view."""
-        if not 0 <= v < self.grid.views:
-            raise GridRangeError(f"view {v} out of range [0, {self.grid.views})")
-        return self.bits[v]
 
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)

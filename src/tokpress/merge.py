@@ -60,19 +60,6 @@ def _rms_scale(sq: np.ndarray, d: int) -> np.ndarray:
     return 1.0 / np.sqrt(sq / d + EPSILON)
 
 
-def rms_norm(x) -> np.ndarray:
-    """Scale by the reciprocal root-mean-square of the entries, no learned gain.
-
-    Accepts a single vector or a matrix (normalized row by row). ``EPSILON``
-    keeps zero vectors at zero instead of dividing by zero. Returns float64.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] < 1:
-        raise ShapeError(f"rms_norm expects a non-empty vector or matrix, got shape {x.shape}")
-    rows = x.reshape(-1, x.shape[-1])
-    return (rows * _rms_scale(sq_norms(rows), x.shape[-1])[:, None]).reshape(x.shape)
-
-
 def split_source_target(tokens, source) -> tuple[np.ndarray, np.ndarray]:
     """Partition rows into (sources at the given indices, remaining targets).
 

@@ -21,6 +21,7 @@ from .core import (
     ParameterError,
     PatchGrid,
     ShapeError,
+    _check_integer,
     _tokens,
     index_set,
     sq_norms,
@@ -35,17 +36,6 @@ def _cosine(dots: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
     na = np.where(a_sq > 0.0, np.sqrt(a_sq), np.inf)
     nb = np.where(b_sq > 0.0, np.sqrt(b_sq), np.inf)
     return dots / np.outer(na, nb)
-
-
-def cosine_similarity_matrix(a, b) -> np.ndarray:
-    """Pairwise cosine similarity; entry (i, j) compares row i of ``a`` with row j of ``b``.
-
-    Rows with zero norm produce 0 for all their entries, so padded tokens are
-    harmless. Returns float64, shape (a.rows, b.rows).
-    """
-    a = _tokens(a, "a", nonempty=True).astype(np.float64)
-    b = _tokens(b, "b", a.shape[1], nonempty=True).astype(np.float64)
-    return _cosine(a @ b.T, sq_norms(a), sq_norms(b))
 
 
 def _argmax_cosine(lang: np.ndarray, img: np.ndarray) -> np.ndarray:
@@ -127,6 +117,7 @@ def top_m(scores, m: int) -> np.ndarray:
     break toward the lower index; the selection is deterministic for a fixed
     input.
     """
+    _check_integer(m, "m")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1:
         raise ShapeError(f"scores must be 1-D, got shape {scores.shape}")

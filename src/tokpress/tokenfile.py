@@ -68,5 +68,5 @@ def export_mask_pgm(mask: BinaryMask, path) -> None:
             f"PGM export takes a single-view mask, got {mask.grid.views} views"
         )
     header = f"P5\n{mask.grid.width} {mask.grid.height}\n255\n".encode("ascii")
-    raster = np.where(mask.view(0), 255, 0).astype(np.uint8)
+    raster = np.where(mask.bits[0], 255, 0).astype(np.uint8)
     Path(path).write_bytes(header + raster.tobytes())

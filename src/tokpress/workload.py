@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinaryMask, CounterStream, ParameterError, PatchGrid, RngState
+from .core import BinaryMask, CounterStream, ParameterError, PatchGrid, RngState, _check_integer
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,7 @@ class WorkloadSpec:
 
     def __post_init__(self) -> None:
         lo, hi = self.block_size
+        _check_integer(self.blocks, "blocks")
         if self.blocks < 0:
             raise ParameterError("blocks must be >= 0")
         if not 1 <= lo <= hi:
@@ -62,8 +63,7 @@ class WorkloadSpec:
             raise ParameterError(
                 f"embed_dim {self.embed_dim} too small for up to {max_fg} foreground cells"
             )
-        if not 0 <= self.seed < 2**64:
-            raise ParameterError("seed must be an unsigned 64-bit integer")
+        RngState(self.seed)  # the one seed check
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,14 @@ runs past the usual keep size, so scenes that keep fewer than m tokens are
 drawn too.
 
 ``corrupt_scenes`` takes such a scene and corrupts one of its inputs, in
-one of the ways ``CORRUPTIONS`` lists.
+one of the ways ``CORRUPTIONS`` lists. ``mask_of`` builds a mask from token
+indices.
 """
 
 import numpy as np
 from hypothesis import strategies as st
 
-from tokpress.core import PatchGrid
+from tokpress.core import BinaryMask, PatchGrid
 from tokpress.expand import ExpandParams
 from tokpress.merge import MergeParams
 from tokpress.pipeline import CompressionConfig
@@ -34,6 +35,13 @@ CORRUPTIONS = {
 }
 #: corruptions caught only by stage one's grid row-count check
 REACH_STAGE_ONE = {"e_img-empty", "e_img-off-grid"}
+
+
+def mask_of(grid, indices=()) -> BinaryMask:
+    """The mask over ``grid`` whose set cells are the given token indices."""
+    flat = np.zeros(grid.total, dtype=bool)
+    flat[np.asarray(indices, dtype=np.int64)] = True
+    return BinaryMask(grid, flat.reshape(grid.shape))
 
 
 @st.composite

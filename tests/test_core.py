@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splitmix
+from scenes import mask_of
 from tokpress.core import (
     BinaryMask,
     CounterStream,
@@ -73,6 +74,19 @@ class TestPatchGrid:
         with pytest.raises(ParameterError):
             PatchGrid(1, 4, 0)
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("value", [2.0, 16.5, True, np.float64(4)])
+    def test_non_integer_axis_rejected(self, axis, value):
+        dims = [2, 16, 16]
+        dims[axis] = value
+        name = ("views", "height", "width")[axis]
+        with pytest.raises(ParameterError, match=f"^PatchGrid.{name} must be an integer"):
+            PatchGrid(*dims)
+
+    def test_numpy_integer_axes_accepted(self):
+        grid = PatchGrid(np.int64(2), np.int32(3), np.uint8(4))
+        assert grid.total == 24 and grid.shape == (2, 3, 4)
+
     # Token order is view-major, then row-major:
     # token index = view * height * width + row * width + col.
     def test_flatten_second_view(self):
@@ -85,7 +99,7 @@ class TestPatchGrid:
 
     def test_unflatten_examples(self):
         def cells(grid, index):
-            return np.argwhere(BinaryMask.from_token_indices(grid, [index]).bits).tolist()
+            return np.argwhere(mask_of(grid, [index]).bits).tolist()
 
         assert cells(PatchGrid(2, 16, 16), 256) == [[1, 0, 0]]
         assert cells(PatchGrid(2, 3, 4), 23) == [[1, 2, 3]]
@@ -98,13 +112,13 @@ class TestBinaryMask:
             BinaryMask(PatchGrid(1, 2, 2), np.zeros((2, 2), dtype=bool))
 
     def test_bits_frozen(self):
-        mask = BinaryMask.zeros(PatchGrid(1, 2, 2))
+        mask = mask_of(PatchGrid(1, 2, 2))
         with pytest.raises(ValueError):
             mask.bits[0, 0, 0] = True
 
     def test_token_indices_round_trip(self):
         grid = PatchGrid(2, 3, 3)
-        mask = BinaryMask.from_token_indices(grid, [0, 7, 17])
+        mask = mask_of(grid, [0, 7, 17])
         assert mask.token_indices().tolist() == [0, 7, 17]
         assert mask.count() == 3
 
@@ -112,17 +126,9 @@ class TestBinaryMask:
     def test_token_order_property(self, grid, data):
         cell = tuple(data.draw(st.integers(0, n - 1)) for n in grid.shape)
         idx = np.ravel_multi_index(cell, grid.shape)
-        mask = BinaryMask.from_token_indices(grid, [idx])
+        mask = mask_of(grid, [idx])
         assert mask.count() == 1 and mask.bits[cell]
         assert mask.token_indices().tolist() == [idx]
-
-    def test_view_plane(self):
-        grid = PatchGrid(2, 2, 2)
-        mask = BinaryMask.from_token_indices(grid, [5])
-        assert not mask.view(0).any()
-        assert mask.view(1)[0, 1]
-        with pytest.raises(GridRangeError):
-            mask.view(2)
 
 
 class TestRngState:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 import splitmix
+from scenes import mask_of
 from tokpress.core import BinaryMask, ParameterError, PatchGrid, RngState
 from tokpress.expand import ExpandParams, density_map, expand_mask
 from tokpress.similarity import anchor_mask
@@ -47,7 +48,7 @@ class TestExpandParams:
 class TestDensityMap:
     def test_zero_mask_zero_map(self):
         grid = PatchGrid(1, 4, 4)
-        assert density_map(BinaryMask.zeros(grid), 3).sum() == 0
+        assert density_map(mask_of(grid), 3).sum() == 0
 
     def test_single_bit_block(self):
         grid = PatchGrid(1, 4, 4)
@@ -66,15 +67,15 @@ class TestDensityMap:
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ParameterError):
-            density_map(BinaryMask.zeros(PatchGrid(1, 3, 3)), 2)
+            density_map(mask_of(PatchGrid(1, 3, 3)), 2)
 
     @pytest.mark.parametrize("k", [3.0, True, np.float64(5)])
     def test_non_integer_kernel_rejected(self, k):
         with pytest.raises(ParameterError, match="^kernel_size must be an integer"):
-            density_map(BinaryMask.zeros(PatchGrid(1, 3, 3)), k)
+            density_map(mask_of(PatchGrid(1, 3, 3)), k)
 
     def test_counts_frozen(self):
-        counts = density_map(BinaryMask.zeros(PatchGrid(1, 2, 2)), 3)
+        counts = density_map(mask_of(PatchGrid(1, 2, 2)), 3)
         assert counts.dtype == np.int64 and counts.shape == (1, 2, 2)
         with pytest.raises(ValueError):
             counts[0, 0, 0] = 1
@@ -107,7 +108,7 @@ class TestDensityMap:
 class TestExpandMask:
     def test_empty_stays_empty(self):
         grid = PatchGrid(2, 5, 5)
-        out = expand_mask(BinaryMask.zeros(grid), ExpandParams(3, 2), RngState(0))
+        out = expand_mask(mask_of(grid), ExpandParams(3, 2), RngState(0))
         assert out.count() == 0
 
     def test_single_seed_tau0_dilates(self):

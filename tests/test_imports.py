@@ -1,12 +1,15 @@
-"""Every name a library module imports is used in that module, and every
-third-party package it imports is a declared dependency.
+"""Every name a library module imports is used in that module, every
+third-party package it imports is a declared dependency, and every name the
+package exports or the benchmark's tracer binds exists.
 
-Deleting code tends to leave its imports behind; this catches them. The
-package ``__init__`` re-exports names on purpose and is exempt, as is
-``from __future__ import annotations``.
+Deleting code tends to leave its imports behind, and its name in other
+places; this catches them. The package ``__init__`` re-exports names on
+purpose and is exempt, as is ``from __future__ import annotations``.
 """
 
 import ast
+import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -20,6 +23,7 @@ import tokpress
 PACKAGE = Path(tokpress.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -89,3 +93,21 @@ def test_import_loads_no_scipy():
         timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in tokpress.__all__ if not hasattr(tokpress, name)] == []
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    # perfbench/spans.py rebinds each traced function by name, so a deleted one breaks its --trace runs
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    traced = {mod: names for mod, (_, names) in spans.TRACED.items() if mod.startswith("tokpress.")}
+    assert traced
+    missing = [
+        f"{mod}.{name}" for mod, names in traced.items() for name in names
+        if not hasattr(importlib.import_module(mod), name)
+    ]
+    assert missing == []

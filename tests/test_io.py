@@ -3,9 +3,10 @@ import struct
 import numpy as np
 import pytest
 
+import oracles
+from scenes import mask_of
 from tokpress.core import BinaryMask, ParameterError, PatchGrid, RngState
 from tokpress.expand import ExpandParams, expand_mask
-from tokpress.similarity import cosine_similarity_matrix
 from tokpress.tokenfile import (
     MAGIC,
     MagicError,
@@ -96,7 +97,7 @@ class TestTokenContainer:
 class TestPgmExport:
     def test_empty_mask(self, tmp_path):
         path = tmp_path / "empty.pgm"
-        export_mask_pgm(BinaryMask.zeros(PatchGrid(1, 4, 4)), path)
+        export_mask_pgm(mask_of(PatchGrid(1, 4, 4)), path)
         blob = path.read_bytes()
         assert blob == b"P5\n4 4\n255\n" + b"\x00" * 16
 
@@ -110,16 +111,16 @@ class TestPgmExport:
 
     def test_expanded_mask_parses_back(self, tmp_path):
         load = generate_workload(WorkloadSpec(grid=PatchGrid(1, 16, 16), seed=4))
-        mask = BinaryMask.from_token_indices(load.grid, load.anchor_cells)
+        mask = mask_of(load.grid, load.anchor_cells)
         expanded = expand_mask(mask, ExpandParams(3, 0), RngState(0))
         path = tmp_path / "mask.pgm"
         export_mask_pgm(expanded, path)
         raster = parse_pgm(path.read_bytes())
-        assert np.array_equal(raster != 0, expanded.view(0))
+        assert np.array_equal(raster != 0, expanded.bits[0])
 
     def test_multi_view_rejected(self, tmp_path):
         with pytest.raises(ParameterError):
-            export_mask_pgm(BinaryMask.zeros(PatchGrid(2, 4, 4)), tmp_path / "x.pgm")
+            export_mask_pgm(mask_of(PatchGrid(2, 4, 4)), tmp_path / "x.pgm")
 
 
 class TestWorkload:
@@ -134,7 +135,7 @@ class TestWorkload:
             grid=PatchGrid(1, 16, 16), block_size=(4, 4), margin=0.5, seed=11
         )
         load = generate_workload(spec)
-        sims = cosine_similarity_matrix(load.e_img, load.e_lang)
+        sims = oracles.cosine(load.e_img, load.e_lang)
         fg = load.truth.token_indices()
         bg = np.setdiff1d(np.arange(load.grid.total), fg)
         assert sims[fg].min() >= sims[bg].max() + spec.margin
@@ -177,6 +178,10 @@ class TestWorkload:
             dict(embed_dim=10),
             dict(anchor_fraction=0.0),
             dict(blocks=-1),
+            dict(blocks=1.5),
+            dict(blocks=True),
+            dict(seed=1.5),
+            dict(seed=2**64),
         ],
     )
     def test_infeasible_specs_rejected(self, bad):

@@ -10,7 +10,6 @@ from tokpress.merge import (
     MergeParams,
     match_logits,
     match_weights,
-    rms_norm,
     soft_bipartite_merge,
     split_source_target,
 )
@@ -45,13 +44,22 @@ class TestMergeParams:
         assert p.m == 80 and p.mode == "soft" and EPSILON == 1e-6
 
 
+def rms_norm(x):
+    # against the unit basis a target's logits are its RMS-normalized row: up to EPSILON,
+    # rms(e_j) = sqrt(d) e_j, which cancels the logits' 1 / sqrt(d)
+    x = np.atleast_2d(x)
+    return match_logits(np.eye(x.shape[1]), x)
+
+
 class TestRmsNorm:
+    """The RMS normalization inside ``match_logits``, read off through ``rms_norm`` above."""
+
     def test_constant_vector(self):
         got = rms_norm(np.full(8, 5.0))
         assert np.allclose(got, 1.0, atol=1e-4)
 
     def test_zero_vector_stays_zero(self):
-        assert np.array_equal(rms_norm(np.zeros(4)), np.zeros(4))
+        assert np.array_equal(rms_norm(np.zeros(4)), np.zeros((1, 4)))
 
     def test_closed_form(self):
         got = rms_norm(np.array([3.0, 4.0]))
@@ -61,7 +69,7 @@ class TestRmsNorm:
         x = rand((3, 5), 0)
         got = rms_norm(x)
         for i in range(3):
-            assert np.allclose(got[i], rms_norm(x[i]))
+            assert np.allclose(got[i], rms_norm(x[i])[0])
 
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):

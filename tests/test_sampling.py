@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from scenes import mask_of
 from tokpress.core import BinaryMask, GridRangeError, ParameterError, PatchGrid
 from tokpress.sampling import context_indices, keep_set
 
@@ -51,28 +52,36 @@ class TestContextIndices:
         with pytest.raises(ParameterError):
             context_indices(-1, 0.5)
 
+    @pytest.mark.parametrize("n", [10.5, 10.0, True, np.float64(10)])
+    def test_non_integer_count_rejected(self, n):
+        with pytest.raises(ParameterError, match="^n_tokens must be an integer"):
+            context_indices(n, 0.5)
+
+    def test_numpy_integer_count_accepted(self):
+        assert context_indices(np.int64(10), 0.5).tolist() == context_indices(10, 0.5).tolist()
+
 
 class TestKeepSet:
     def test_both_empty(self):
-        mask = BinaryMask.zeros(PatchGrid(1, 3, 3))
+        mask = mask_of(PatchGrid(1, 3, 3))
         assert keep_set(mask, []).size == 0
 
     def test_union_example(self):
         grid = PatchGrid(1, 3, 4)
-        mask = BinaryMask.from_token_indices(grid, [3, 7])
+        mask = mask_of(grid, [3, 7])
         assert keep_set(mask, [7, 9]).tolist() == [3, 7, 9]
 
     def test_idempotent_union(self):
         grid = PatchGrid(2, 4, 4)
-        mask = BinaryMask.from_token_indices(grid, [1, 8, 30])
+        mask = mask_of(grid, [1, 8, 30])
         ctx = context_indices(grid.total, 0.25)
         once = keep_set(mask, ctx)
-        again = keep_set(BinaryMask.from_token_indices(grid, once), ctx)
+        again = keep_set(mask_of(grid, once), ctx)
         assert np.array_equal(once, again)
 
     def test_out_of_range_context(self):
         with pytest.raises(GridRangeError):
-            keep_set(BinaryMask.zeros(PatchGrid(1, 2, 2)), [4])
+            keep_set(mask_of(PatchGrid(1, 2, 2)), [4])
 
     def test_size_against_set_arithmetic(self):
         grid = PatchGrid(2, 16, 16)

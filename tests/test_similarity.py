@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tokpress.core import GridRangeError, ParameterError, PatchGrid, ShapeError
-from tokpress.similarity import anchor_mask, cosine_similarity_matrix, relevance_scores, top_m
+from tokpress.core import GridRangeError, ParameterError, PatchGrid, ShapeError, sq_norms
+from tokpress.similarity import _cosine, anchor_mask, relevance_scores, top_m
 
 
 def rand(shape, seed):
@@ -16,42 +16,35 @@ def rand(shape, seed):
 
 
 class TestCosineMatrix:
+    """``_cosine``, the one cosine formula behind anchors and relevance scores."""
+
+    @staticmethod
+    def cosine(a, b):
+        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        return _cosine(a @ b.T, sq_norms(a), sq_norms(b))
+
     def test_identical_vectors(self):
-        assert cosine_similarity_matrix([[1.0, 0.0]], [[1.0, 0.0]])[0, 0] == pytest.approx(1.0)
+        assert self.cosine([[1.0, 0.0]], [[1.0, 0.0]])[0, 0] == pytest.approx(1.0)
 
     def test_orthogonal_vectors(self):
-        assert cosine_similarity_matrix([[1.0, 0.0]], [[0.0, 1.0]])[0, 0] == pytest.approx(0.0)
+        assert self.cosine([[1.0, 0.0]], [[0.0, 1.0]])[0, 0] == pytest.approx(0.0)
 
     def test_closed_form_diagonal(self):
-        got = cosine_similarity_matrix([[1.0, 1.0]], [[1.0, 0.0]])[0, 0]
+        got = self.cosine([[1.0, 1.0]], [[1.0, 0.0]])[0, 0]
         assert got == pytest.approx(1 / math.sqrt(2), abs=1e-5)
 
     def test_zero_norm_rows_score_zero(self):
-        got = cosine_similarity_matrix([[0.0, 0.0], [1.0, 0.0]], [[1.0, 1.0]])
+        got = self.cosine([[0.0, 0.0], [1.0, 0.0]], [[1.0, 1.0]])
         assert got[0, 0] == 0.0
         assert got[1, 0] != 0.0
 
-    def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            cosine_similarity_matrix([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            cosine_similarity_matrix(np.empty((0, 3), dtype=np.float32), [[1.0, 0.0, 0.0]])
-
-    def test_errors_name_the_input(self):
-        with pytest.raises(ShapeError, match="^b: embedding width 3, expected 2$"):
-            cosine_similarity_matrix([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
-        with pytest.raises(ShapeError, match="^b: "):
-            cosine_similarity_matrix([[1.0, 0.0]], np.empty((0, 2), dtype=np.float32))
-
     def test_matches_loop_oracle(self):
         a, b = rand((5, 7), 0), rand((4, 7), 1)
-        assert np.allclose(cosine_similarity_matrix(a, b), oracles.cosine(a, b), atol=1e-6)
+        assert np.allclose(self.cosine(a, b), oracles.cosine(a, b), atol=1e-6)
 
     def test_entries_bounded_and_symmetric(self):
         a = rand((6, 9), 2)
-        got = cosine_similarity_matrix(a, a)
+        got = self.cosine(a, a)
         assert (np.abs(got) <= 1 + 1e-5).all()
         assert np.allclose(got, got.T, atol=1e-12)
 
@@ -61,9 +54,7 @@ class TestCosineMatrix:
         a, b = rand((3, 5), seed % 1000), rand((4, 5), seed % 997)
         scaled = a.copy()
         scaled[1] *= np.float32(scale)
-        assert np.allclose(
-            cosine_similarity_matrix(a, b), cosine_similarity_matrix(scaled, b), atol=1e-5
-        )
+        assert np.allclose(self.cosine(a, b), self.cosine(scaled, b), atol=1e-5)
 
 
 class TestAnchorMask:
@@ -218,6 +209,29 @@ class TestRelevanceScores:
         with pytest.raises(ShapeError, match="^guides: "):
             relevance_scores(rand((5, 3), 0), rand(shape, 1))
 
+    def test_image_errors_name_e_img(self):
+        with pytest.raises(ShapeError, match="^e_img: needs at least one row, got 0$"):
+            relevance_scores(rand((0, 3), 0), rand((2, 3), 1))
+        with pytest.raises(ParameterError, match="^e_img: "):
+            relevance_scores(np.full((2, 3), np.nan, np.float32), rand((2, 3), 1))
+
+    def test_zero_norm_rows_score_zero(self):
+        e_img = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.float32)
+        assert relevance_scores(e_img, [[1.0, 1.0]]).tolist() == [0.0, pytest.approx(2**-0.5)]
+        # a zero guide scores 0, so it beats guides that every image row opposes
+        assert relevance_scores(e_img, [[-1.0, 0.0], [0.0, 0.0]]).tolist() == [0.0, 0.0]
+
+    @given(st.integers(0, 2**32), st.floats(min_value=0.01, max_value=100.0))
+    @settings(max_examples=30, deadline=None)
+    def test_scale_invariance(self, seed, scale):
+        e_img, guides = rand((4, 5), seed % 1000), rand((3, 5), seed % 997)
+        scaled_img, scaled_guides = e_img.copy(), guides.copy()
+        scaled_img[1] *= np.float32(scale)
+        scaled_guides[2] *= np.float32(scale)
+        base = relevance_scores(e_img, guides)
+        assert np.allclose(relevance_scores(scaled_img, guides), base, atol=1e-6)
+        assert np.allclose(relevance_scores(e_img, scaled_guides), base, atol=1e-6)
+
 
 class TestTopM:
     def test_full_and_empty(self):
@@ -254,3 +268,11 @@ class TestTopM:
     def test_non_finite_rejected(self):
         with pytest.raises(ParameterError):
             top_m(np.array([0.1, np.nan], dtype=np.float32), 1)
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, True, np.float64(1)])
+    def test_non_integer_m_rejected(self, m):
+        with pytest.raises(ParameterError, match="^m must be an integer"):
+            top_m(np.array([0.1, 0.2, 0.3]), m)
+
+    def test_numpy_integer_m_accepted(self):
+        assert top_m(np.array([0.1, 0.3, 0.2]), np.int64(2)).tolist() == [1, 2]
