@@ -5,8 +5,6 @@ Run from the repo root after installing the package:
     python3 demos/pipeline_tour.py
 """
 
-import numpy as np
-
 from tokpress import (
     CompressionConfig,
     DEFAULT_BACKBONE,

@@ -12,6 +12,7 @@ by concatenating per-camera patch grids.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +46,26 @@ def token_matrix(data, *, name: str = "tokens") -> np.ndarray:
     Returns a C-contiguous float32 array (a view when the input already
     qualifies, a copy otherwise).
     """
+    global _last_checked
     arr = np.ascontiguousarray(data, dtype=np.float32)
     if arr.ndim != 2:
         raise ShapeError(f"{name}: expected a 2-D (tokens x dim) array, got shape {arr.shape}")
     if arr.shape[1] < 1:
         raise ShapeError(f"{name}: embedding dimension must be >= 1")
-    if arr.size and not np.isfinite(arr).all():
+    sq = sq_norms(arr)  # a NaN or inf makes its row's norm non-finite; so can float32 overflow
+    if not np.isfinite(sq).all() and not np.isfinite(arr).all():
         raise ParameterError(f"{name}: non-finite values are not allowed")
+    _last_checked = (weakref.ref(arr), sq)
     return arr
+
+
+_last_checked = (lambda: None, None)  # weakref to token_matrix's last result, and its norms
+
+
+def _checked_norms(arr: np.ndarray) -> np.ndarray:
+    """Float32 squared row norms of ``arr``, from its finiteness check if ``token_matrix`` returned it last."""
+    ref, sq = _last_checked
+    return sq if ref() is arr else sq_norms(arr)
 
 
 def _tokens(data, name: str, width: int | None = None, nonempty: bool = False) -> np.ndarray:

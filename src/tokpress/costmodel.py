@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, ShapeError
+from .core import ParameterError, ShapeError, _check_integer
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,7 @@ class BackboneSpec:
 
     def __post_init__(self) -> None:
         for field in ("layers", "hidden_dim", "ff_dim", "heads"):
+            _check_integer(getattr(self, field), f"BackboneSpec.{field}")
             if getattr(self, field) < 1:
                 raise ParameterError(f"BackboneSpec.{field} must be >= 1")
 
@@ -52,14 +53,17 @@ class TokenSchedule:
     non_visual: int = 0
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.visual_counts, dtype=np.int64)
+        counts = np.asarray(self.visual_counts)
         if counts.ndim != 1 or counts.size < 1:
             raise ShapeError("visual_counts must be a non-empty 1-D sequence")
+        if counts.dtype.kind not in "iu":  # _check_integer for a whole array: no floats, no bools
+            raise ParameterError(f"TokenSchedule.visual_counts must be integers, got dtype {counts.dtype}")
+        _check_integer(self.non_visual, "TokenSchedule.non_visual")
+        counts = counts.astype(np.int64)
         if counts.min() < 0 or self.non_visual < 0:
             raise ParameterError("token counts must be non-negative")
         if np.any(np.diff(counts) > 0):
             raise ParameterError("visual counts may only step down across layers")
-        counts = counts.copy()
         counts.setflags(write=False)
         object.__setattr__(self, "visual_counts", counts)
 
@@ -72,7 +76,7 @@ class TokenSchedule:
 
     @classmethod
     def flat(cls, visual: int, layers: int, non_visual: int = 0) -> "TokenSchedule":
-        return cls(np.full(layers, visual, dtype=np.int64), non_visual)
+        return cls(np.full(layers, visual), non_visual)
 
     @classmethod
     def two_stage(
@@ -81,13 +85,12 @@ class TokenSchedule:
         """Kept count up to merge_layer, merged count from there on."""
         if not 0 <= merge_layer < layers:
             raise ParameterError(f"merge_layer {merge_layer} out of range [0, {layers})")
-        counts = np.full(layers, merged, dtype=np.int64)
-        counts[:merge_layer] = kept
-        return cls(counts, non_visual)
+        return cls(np.repeat([kept, merged], [merge_layer, layers - merge_layer]), non_visual)
 
 
 def layer_flops(n: int, spec: BackboneSpec = DEFAULT_BACKBONE) -> int:
     """Flops of one layer at sequence length n (exact integer)."""
+    _check_integer(n, "n")
     if n < 0:
         raise ParameterError(f"token count must be >= 0, got {n}")
     n, d, d_ff = int(n), spec.hidden_dim, spec.ff_dim

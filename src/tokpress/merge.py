@@ -8,12 +8,12 @@ move toward the targets they absorbed while poorly-matched ones stay put.
 
 The public functions check every input once, with ``core._tokens``, and
 call private kernels, which do no checks of their own. The kernels take
-float64 rows with their squared norms, which ``merge_stage`` computes once
-per visual span. All merge arithmetic is float64: logits are
-raw dot products scaled afterwards by the two rows' RMS factors, and the
-fold runs in place; results are cast back to float32. Merged rows are
-convex combinations of the source row and the target rows, so they stay
-inside the data's coordinate-wise hull.
+float32 rows with their float64 squared norms. Logits are raw dot products
+scaled afterwards by the two rows' RMS factors. ``match_logits`` and hard
+mode are float64 throughout; the soft fold takes its products on the
+float32 rows, with float64 scales and weights. Merged rows are convex
+combinations of the source row and the target rows, and soft mode clamps
+every coordinate into that hull, which float32 rounding could step past.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ MODES = ("soft", "hard")
 #: added to the mean square in every RMS scale, so zero rows stay at zero;
 #: the merge oracle in tests/oracles.py uses the same value
 EPSILON = 1e-6
+_CLAMP_ROWS = 16  # rows per block of the soft fold's hull clamp, so a block's bounds stay in cache
 
 
 @dataclass(frozen=True)
@@ -72,23 +73,18 @@ def split_source_target(tokens, source) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _logits(sources, s_sq, targets, t_sq) -> np.ndarray:
-    # dot(rms(t_i), rms(s_j)) / sqrt(d), scaled after the raw float64 product
+    # dot(rms(t_i), rms(s_j)) / sqrt(d): the raw product in the rows' dtype, scaled in float64
     d = sources.shape[1]
-    logits = targets @ sources.T
+    logits = np.asarray(targets @ sources.T, dtype=np.float64)
     logits *= _rms_scale(t_sq, d)[:, None]
     logits *= _rms_scale(s_sq, d) / np.sqrt(d)
     return logits
 
 
-def _float64_pair(sources, targets) -> tuple[np.ndarray, np.ndarray]:
-    sources = _tokens(sources, "sources")
-    targets = _tokens(targets, "targets", sources.shape[1])
-    return sources.astype(np.float64), targets.astype(np.float64)
-
-
 def match_logits(sources, targets) -> np.ndarray:
     """Scaled similarity logits, one row per target: dot(rms(t_i), rms(s_j)) / sqrt(d)."""
-    sources, targets = _float64_pair(sources, targets)
+    sources = _tokens(sources, "sources").astype(np.float64)
+    targets = _tokens(targets, "targets", sources.shape[1]).astype(np.float64)
     return _logits(sources, sq_norms(sources), targets, sq_norms(targets))
 
 
@@ -112,16 +108,32 @@ def match_weights(logits, mode: str = "soft") -> np.ndarray:
     raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _fold(sources, s_sq, targets, t_sq, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Merged float32 sources and the weight each absorbed, from float64 rows and squared norms."""
+def _fold(sources, s_sq, targets, t_sq, mode: str, out: np.ndarray) -> np.ndarray:
+    """Write the merged sources into the float32 ``out`` and return the weight each absorbed.
+
+    Hard mode folds float64 copies of the rows, since one flipped argmax would move a whole
+    target; soft mode folds the float32 rows and then clamps them into the hull.
+    """
     if targets.shape[0] == 0:
-        return sources.astype(np.float32), np.zeros(sources.shape[0])
+        out[...] = sources
+        return np.zeros(sources.shape[0])
+    if mode == "hard":
+        sources, targets = sources.astype(np.float64), targets.astype(np.float64)
     w = match_weights(_logits(sources, s_sq, targets, t_sq), mode)
-    merged = w.T @ targets
-    merged += sources
     absorbed = w.sum(axis=0)
-    merged /= (1.0 + absorbed)[:, None]
-    return merged.astype(np.float32), absorbed
+    merged = out if mode == "soft" else np.empty(sources.shape)
+    np.matmul(w.astype(merged.dtype, copy=False).T, targets, out=merged)
+    merged += sources
+    merged /= (1.0 + absorbed).astype(merged.dtype)[:, None]
+    if mode == "hard":
+        out[...] = merged
+        return absorbed
+    t_min, t_max = targets.min(axis=0), targets.max(axis=0)
+    for i in range(0, out.shape[0], _CLAMP_ROWS):
+        rows, src = out[i : i + _CLAMP_ROWS], sources[i : i + _CLAMP_ROWS]
+        np.maximum(rows, np.minimum(src, t_min), out=rows)
+        np.minimum(rows, np.maximum(src, t_max), out=rows)
+    return absorbed
 
 
 def soft_bipartite_merge(sources, targets, params: MergeParams) -> tuple[np.ndarray, MergeReport]:
@@ -138,9 +150,12 @@ def soft_bipartite_merge(sources, targets, params: MergeParams) -> tuple[np.ndar
     come back bitwise unchanged. The report's ``source_indices`` are the
     source rows' own positions, 0 to m - 1.
     """
-    sources, targets = _float64_pair(sources, targets)
+    sources = _tokens(sources, "sources")
+    targets = _tokens(targets, "targets", sources.shape[1])
     n_s, n_t = sources.shape[0], targets.shape[0]
     if params.m != n_s:  # m >= 1, so this also rejects an empty source set
         raise ParameterError(f"params.m = {params.m} but {n_s} source rows were given")
-    merged, absorbed = _fold(sources, sq_norms(sources), targets, sq_norms(targets), params.mode)
+    s_sq, t_sq = (sq_norms(rows.astype(np.float64)) for rows in (sources, targets))
+    merged = np.empty_like(sources)
+    absorbed = _fold(sources, s_sq, targets, t_sq, params.mode, merged)
     return merged, MergeReport(np.arange(n_s, dtype=np.int64), absorbed, n_s + n_t, n_s)

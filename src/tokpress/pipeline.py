@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ParameterError, PatchGrid, RngState, ShapeError, _check_integer, _tokens, sq_norms
+from .core import ParameterError, PatchGrid, RngState, ShapeError, _check_integer, _checked_norms, _tokens
 from .costmodel import TokenSchedule
 from .expand import ExpandParams, expand_mask
 from .merge import MergeParams, MergeReport, _fold
@@ -93,8 +93,8 @@ class PipelineResult:
     compressed: np.ndarray
 
 
-def _prune(e_img, e_lang, grid: PatchGrid, config: CompressionConfig):
-    anchors = _anchor_mask(e_lang, e_img, grid)
+def _prune(e_img, img_sq, e_lang, grid: PatchGrid, config: CompressionConfig):
+    anchors = _anchor_mask(e_lang, e_img, img_sq, grid)
     expanded = expand_mask(anchors, config.expand, RngState(config.seed))
     context = context_indices(grid.total, config.context_fraction)
     kept_idx = keep_set(expanded, context)
@@ -116,18 +116,17 @@ def prune_stage(e_img, e_lang, grid: PatchGrid, config: CompressionConfig):
     width than ``e_img`` raise ShapeError before any step runs.
     """
     e_img = _tokens(e_img, "e_img")
-    return _prune(e_img, _tokens(e_lang, "e_lang", e_img.shape[1], nonempty=True), grid, config)
+    img_sq = _checked_norms(e_img)
+    return _prune(e_img, img_sq, _tokens(e_lang, "e_lang", e_img.shape[1], nonempty=True), grid, config)
 
 
-def _merge(visual, guidance, config: CompressionConfig):
-    # min(rows, m) sources; one upcast and one pass of norms serve scoring and merging
-    rows = visual.shape[0]
-    visual = visual.astype(np.float64)
-    sq = sq_norms(visual)
-    source = top_m(_relevance(visual, sq, guidance), min(rows, config.merge.m))
-    rest = np.setdiff1d(np.arange(rows, dtype=np.int64), source, assume_unique=True)
-    merged, absorbed = _fold(visual[source], sq[source], visual[rest], sq[rest], config.merge.mode)
-    return merged, source, absorbed
+def _merge(visual, guidance, config: CompressionConfig, out):
+    # merges the float32 span into out's rows, with the top len(out) rows by relevance as sources
+    scores, sq = _relevance(visual, guidance)
+    source = top_m(scores, out.shape[0])
+    rest = np.ones(visual.shape[0], dtype=bool)
+    rest[source] = False
+    return source, _fold(visual[source], sq[source], visual[rest], sq[rest], config.merge.mode, out)
 
 
 def _visual_span(visual_range, rows: int) -> tuple[int, int]:
@@ -162,9 +161,11 @@ def merge_stage(hidden, guidance, visual_range, config: CompressionConfig):
     hidden = _tokens(hidden, "hidden")
     guidance = _tokens(guidance, "guidance", hidden.shape[1], nonempty=True)
     start, stop = _visual_span(visual_range, hidden.shape[0])
-    merged, source, absorbed = _merge(hidden[start:stop], guidance, config)
-    report = MergeReport(source + start, absorbed, stop - start, merged.shape[0])
-    return np.vstack([hidden[:start], merged, hidden[stop:]]), report
+    n = min(stop - start, config.merge.m)
+    out = np.empty((hidden.shape[0] - (stop - start) + n, hidden.shape[1]), dtype=np.float32)
+    out[:start], out[start + n :] = hidden[:start], hidden[stop:]
+    source, absorbed = _merge(hidden[start:stop], guidance, config, out[start : start + n])
+    return out, MergeReport(source + start, absorbed, stop - start, n)
 
 
 def run_pipeline(e_img, e_lang, guidance, grid: PatchGrid, config: CompressionConfig) -> PipelineResult:
@@ -178,15 +179,18 @@ def run_pipeline(e_img, e_lang, guidance, grid: PatchGrid, config: CompressionCo
     than ``e_img`` raise ShapeError (language first) before stage one runs.
     """
     e_img = _tokens(e_img, "e_img")
+    img_sq = _checked_norms(e_img)
     e_lang = _tokens(e_lang, "e_lang", e_img.shape[1], nonempty=True)
     guidance = _tokens(guidance, "guidance", e_img.shape[1], nonempty=True)
 
     t0 = time.perf_counter()
-    kept, kept_idx, prune_rep = _prune(e_img, e_lang, grid, config)
+    kept, kept_idx, prune_rep = _prune(e_img, img_sq, e_lang, grid, config)
     t1 = time.perf_counter()
-    merged, source, absorbed = _merge(kept, guidance, config)
-    compressed = np.vstack([merged, e_lang, guidance])
-    merge_rep = MergeReport(source, absorbed, prune_rep.kept, merged.shape[0])
+    n = min(prune_rep.kept, config.merge.m)
+    compressed = np.empty((n + e_lang.shape[0] + guidance.shape[0], e_img.shape[1]), dtype=np.float32)
+    source, absorbed = _merge(kept, guidance, config, compressed[:n])
+    np.concatenate([e_lang, guidance], out=compressed[n:])
+    merge_rep = MergeReport(source, absorbed, prune_rep.kept, n)
     t2 = time.perf_counter()
 
     schedule = TokenSchedule.two_stage(

@@ -22,6 +22,7 @@ from .core import (
     PatchGrid,
     ShapeError,
     _check_integer,
+    _checked_norms,
     _tokens,
     index_set,
     sq_norms,
@@ -38,8 +39,8 @@ def _cosine(dots: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
     return dots / np.outer(na, nb)
 
 
-def _argmax_cosine(lang: np.ndarray, img: np.ndarray) -> np.ndarray:
-    """Index of each language row's most cosine-similar image row; ties go low.
+def _argmax_cosine(lang: np.ndarray, img: np.ndarray, img_sq: np.ndarray) -> np.ndarray:
+    """Index of each language row's most cosine-similar image row (float32 squared norms img_sq); ties go low.
 
     The float32 screen scales language row l by an exact power of two to l'
     (largest entry in [0.5, 1)) and scores image row x as s = fl(l'.x) / fl(|x|).
@@ -54,7 +55,6 @@ def _argmax_cosine(lang: np.ndarray, img: np.ndarray) -> np.ndarray:
     d = img.shape[1]
     _, exponent = np.frexp(np.abs(lang).max(axis=1))
     scaled = np.ldexp(lang, -exponent[:, None])
-    img_sq = sq_norms(img)
     safe = (img_sq >= _SAFE_SQ[0]) & (img_sq <= _SAFE_SQ[1]) & ((d + 2) * _U32 <= 1 / 16)
     with np.errstate(over="ignore", invalid="ignore"):
         screen = (img @ scaled.T).T / np.sqrt(np.where(safe, img_sq, 1.0))
@@ -69,12 +69,12 @@ def _argmax_cosine(lang: np.ndarray, img: np.ndarray) -> np.ndarray:
     return cols[np.argmax(sims, axis=1)]
 
 
-def _anchor_mask(e_lang: np.ndarray, e_img: np.ndarray, grid: PatchGrid) -> BinaryMask:
+def _anchor_mask(e_lang: np.ndarray, e_img: np.ndarray, img_sq: np.ndarray, grid: PatchGrid) -> BinaryMask:
     # the first step of stage one, and the one home of the grid row-count check
     if e_img.shape[0] != grid.total:
         raise ShapeError(f"e_img: {e_img.shape[0]} rows, grid expects {grid.total}")
     flat = np.zeros(grid.total, dtype=bool)
-    flat[_argmax_cosine(e_lang, e_img)] = True
+    flat[_argmax_cosine(e_lang, e_img, img_sq)] = True
     return BinaryMask(grid, flat.reshape(grid.shape))
 
 
@@ -88,15 +88,17 @@ def anchor_mask(e_lang, e_img, grid: PatchGrid) -> BinaryMask:
     Argmax ties resolve to the lower token index.
     """
     e_img = _tokens(e_img, "e_img")
+    img_sq = _checked_norms(e_img)
     e_lang = _tokens(e_lang, "e_lang", e_img.shape[1], nonempty=True)
-    return _anchor_mask(e_lang, e_img, grid)
+    return _anchor_mask(e_lang, e_img, img_sq, grid)
 
 
-def _relevance(visual: np.ndarray, visual_sq: np.ndarray, guides: np.ndarray) -> np.ndarray:
-    # visual is float64 with its squared row norms; guides is a checked token matrix
-    guides = guides.astype(np.float64)
+def _relevance(visual: np.ndarray, guides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # float32 scores of checked token matrices, and visual's float64 squared row norms, from one upcast
+    visual, guides = visual.astype(np.float64), guides.astype(np.float64)
+    visual_sq = sq_norms(visual)
     sims = _cosine(visual @ guides.T, visual_sq, sq_norms(guides))
-    return sims.max(axis=1).astype(np.float32)
+    return sims.max(axis=1).astype(np.float32), visual_sq
 
 
 def relevance_scores(e_img, guides) -> np.ndarray:
@@ -105,9 +107,8 @@ def relevance_scores(e_img, guides) -> np.ndarray:
     The max keeps scores robust to irrelevant guides. Similarities are
     computed in float64; returns float32, one score per image token.
     """
-    visual = _tokens(e_img, "e_img", nonempty=True).astype(np.float64)
-    guides = _tokens(guides, "guides", visual.shape[1], nonempty=True)
-    return _relevance(visual, sq_norms(visual), guides)
+    visual = _tokens(e_img, "e_img", nonempty=True)
+    return _relevance(visual, _tokens(guides, "guides", visual.shape[1], nonempty=True))[0]
 
 
 def top_m(scores, m: int) -> np.ndarray:
@@ -125,7 +126,5 @@ def top_m(scores, m: int) -> np.ndarray:
         raise ParameterError("scores must be finite")
     if not 0 <= m <= scores.size:
         raise GridRangeError(f"m {m} out of range [0, {scores.size}]")
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
     order = np.argsort(-scores, kind="stable")
     return index_set(order[:m])

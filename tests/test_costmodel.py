@@ -27,6 +27,36 @@ class TestBackboneSpec:
             BackboneSpec(layers=0)
 
 
+class TestIntegerChecks:
+    """Every count a costmodel constructor or function takes rejects floats and bools by name."""
+
+    @pytest.mark.parametrize(
+        "build,field",
+        [
+            (lambda: BackboneSpec(layers=2.5), "BackboneSpec.layers"),
+            (lambda: BackboneSpec(hidden_dim=True), "BackboneSpec.hidden_dim"),
+            (lambda: BackboneSpec(ff_dim=11008.0), "BackboneSpec.ff_dim"),
+            (lambda: BackboneSpec(heads=np.float64(32)), "BackboneSpec.heads"),
+            (lambda: layer_flops(10.5), "^n must"),
+            (lambda: TokenSchedule.flat(10, 3, 1.5), "TokenSchedule.non_visual"),
+            (lambda: TokenSchedule([2.5, 1.0]), "TokenSchedule.visual_counts"),
+            (lambda: TokenSchedule(np.array([True, False])), "TokenSchedule.visual_counts"),
+            (lambda: TokenSchedule.flat(10.5, 3), "TokenSchedule.visual_counts"),
+            (lambda: TokenSchedule.two_stage(196.5, 80, 3, 8), "TokenSchedule.visual_counts"),
+        ],
+    )
+    def test_non_integer_raises_naming_field(self, build, field):
+        with pytest.raises(ParameterError, match=field):
+            build()
+
+    def test_numpy_integers_match_python_ints(self):
+        spec = BackboneSpec(*(np.int64(v) for v in (4, 64, 256, 8)))
+        assert layer_flops(np.int32(100), spec) == layer_flops(100, small)
+        got = TokenSchedule.two_stage(np.int64(196), np.uint8(80), np.int16(3), np.int64(8), np.int32(64))
+        assert got.visual_counts.tolist() == TokenSchedule.two_stage(196, 80, 3, 8, 64).visual_counts.tolist()
+        assert TokenSchedule(np.array([3, 2], dtype=np.uint8)).visual_counts.tolist() == [3, 2]
+
+
 class TestTokenSchedule:
     def test_flat(self):
         s = TokenSchedule.flat(196, 8, 64)

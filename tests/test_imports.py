@@ -1,6 +1,7 @@
-"""Every name a library module imports is used in that module, every
-third-party package it imports is a declared dependency, and every name the
-package exports or the benchmark's tracer binds exists.
+"""Every name a library module, test module or demo imports is used in that
+file, every third-party package the library imports is a declared
+dependency, and every name the package exports or the benchmark's tracer
+binds exists.
 
 Deleting code tends to leave its imports behind, and its name in other
 places; this catches them. The package ``__init__`` re-exports names on
@@ -23,7 +24,9 @@ import tokpress
 PACKAGE = Path(tokpress.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+REPO = Path(__file__).resolve().parent.parent
+SPANS = REPO / "perfbench" / "spans.py"
+SCRIPTS = sorted(REPO.glob("tests/*.py")) + sorted(REPO.glob("demos/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,7 +44,9 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + SCRIPTS, ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}"
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from tokpress.core import ParameterError, ShapeError
@@ -165,6 +163,34 @@ class TestSoftMerge:
             lo = np.minimum(s, t.min(axis=0))
             hi = np.maximum(s, t.max(axis=0))
             assert (merged >= lo).all() and (merged <= hi).all()
+
+    def test_vla_width_degenerate_columns_stay_in_hull(self):
+        # where the targets and a source share a column value, the hull can be one
+        # point, and the float32 fold's rounding alone would step off it
+        cols = np.random.default_rng(40).permutation(4096)
+        point, one_source, constant = cols[:1024], cols[1024:2048], cols[2048:2560]
+        s, t = rand((16, 4096), 41), rand((120, 4096), 42)
+        t[:, one_source] = s[3, one_source]
+        t[:, constant] = np.float32(0.1)
+        t[:, point] = s[:, point] = rand((1, 1024), 43)
+        merged, _ = soft_bipartite_merge(s, t, MergeParams(m=16))
+        lo, hi = np.minimum(s, t.min(axis=0)), np.maximum(s, t.max(axis=0))
+        assert (merged >= lo).all() and (merged <= hi).all()
+        assert (merged[:, point] == s[:, point]).all() and (merged[3, one_source] == s[3, one_source]).all()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_large_activations_match_step_oracle(self, seed):
+        # rows at |x| up to 10, as decoder mid-layer activations reach, with each
+        # target near one source so the softmax weights are peaked
+        gen = np.random.default_rng(seed)
+        s = gen.standard_normal((80, 256))
+        t = s[gen.integers(0, 80, 120)] + gen.standard_normal((120, 256))
+        scale = 10.0 / np.abs(np.vstack([s, t])).max()
+        s, t = (s * scale).astype(np.float32), (t * scale).astype(np.float32)
+        merged, rep = soft_bipartite_merge(s, t, MergeParams(m=80))
+        want, _, s_vec = oracles.merge_steps(s, t)
+        assert np.max(np.abs(merged.astype(np.float64) - want)) <= 1e-5
+        assert np.allclose(rep.absorbed_weight, s_vec, atol=1e-8)
 
     def test_hard_mode_one_hot_assignment(self):
         s, t = rand((4, 5), 20), rand((9, 5), 21)

@@ -1,5 +1,6 @@
 import re
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from tokpress.core import ParameterError, PatchGrid, RngState, ShapeError
 from tokpress.expand import ExpandParams
 from tokpress.merge import MergeParams
 from tokpress.pipeline import CompressionConfig, merge_stage, prune_stage, run_pipeline
+from tokpress.similarity import anchor_mask
 from tokpress.workload import WorkloadSpec, generate_workload
 
 
@@ -154,6 +156,89 @@ class TestPruneStage:
         load = load_2view(15)
         with pytest.raises(ShapeError, match="^e_lang: embedding width 10, expected 64$"):
             prune_stage(load.e_img, wide(3), load.grid, goal_long())
+
+
+class TestImageNormsFromValidation:
+    """e_img is read once for its finiteness check and the anchor screen's norms."""
+
+    def test_row_whose_float32_norm_overflows_is_accepted_and_anchored(self):
+        load = load_2view(16)
+        e_img = load.e_img.copy()
+        e_img[37] = np.ldexp(load.e_lang[0], 68)  # entries up to 9e19, an exact multiple of e_lang[0]
+        assert np.isfinite(e_img).all() and np.isinf(core.sq_norms(e_img[37:38])).all()
+        anchor = sorted(oracles.anchor_cells(load.e_lang, e_img))
+        assert 37 in anchor
+        bits = np.zeros(load.grid.shape, dtype=bool)
+        bits.reshape(-1)[anchor] = True
+        expanded = oracles.expand_bits(bits, 3, 1, RngState(0))
+        want = sorted(set(np.flatnonzero(expanded.reshape(-1)).tolist()) | set(oracles.stride_indices(512, 0.25)))
+        _, idx, rep = prune_stage(e_img, load.e_lang, load.grid, goal_long())
+        assert idx.tolist() == want and rep.anchors == len(anchor)
+        result = run_pipeline(e_img, load.e_lang, load.guidance, load.grid, goal_long())
+        assert result.kept_indices.tolist() == want and result.prune.anchors == len(anchor)
+        assert np.isfinite(result.compressed).all()
+
+    @pytest.mark.parametrize("stage", ["prune_stage", "run_pipeline"])
+    def test_image_read_once_for_validation_and_anchor_norms(self, monkeypatch, stage):
+        load = load_2view(16)
+        seen = {"sq_norms": [], "isfinite": []}
+
+        def counted(name, fn):
+            def wrapper(rows, *args, **kwargs):
+                seen[name].append(rows)
+                return fn(rows, *args, **kwargs)
+
+            return wrapper
+
+        original = core.sq_norms
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("tokpress") and vars(mod).get("sq_norms") is original:
+                monkeypatch.setattr(mod, "sq_norms", counted("sq_norms", original))
+        monkeypatch.setattr(np, "isfinite", counted("isfinite", np.isfinite))
+        args = (load.e_lang, load.guidance) if stage == "run_pipeline" else (load.e_lang,)
+        getattr(pipeline, stage)(load.e_img, *args, load.grid, goal_long())
+        assert [sum(rows is load.e_img for rows in calls) for calls in seen.values()] == [1, 0]
+
+    def test_threads_never_take_each_others_norms(self):
+        # the norms hand-off is shared by every thread; rows scaled over six decades make
+        # the anchor screen pick wrong rows if it ever ranks one matrix with another's norms
+        scenes = []
+        for seed in range(6):
+            load = load_2view(30 + seed)
+            scale = np.float32(10.0) ** np.random.default_rng(seed).uniform(-3, 3, (512, 1)).astype(np.float32)
+            e_img = load.e_img * scale
+            scenes.append((e_img, load.e_lang, anchor_mask(load.e_lang, e_img, load.grid).bits, load.grid))
+        outcomes = []
+
+        def work(e_img, e_lang, want, grid):
+            for _ in range(300):
+                try:
+                    outcomes.append(not np.array_equal(anchor_mask(e_lang, e_img, grid).bits, want))
+                except ValueError as exc:  # another matrix's norms would not even broadcast
+                    outcomes.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=scene) for scene in scenes]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(outcomes) == 300 * len(scenes) and not any(outcomes)
+
+    @pytest.mark.parametrize("stage", ["prune_stage", "run_pipeline"])
+    def test_nan_row_rejected_before_stage_one(self, monkeypatch, stage):
+        monkeypatch.setattr(pipeline, "_prune", stage_one)
+        load = load_2view(16)
+        e_img = load.e_img.copy()
+        e_img[200] = np.nan
+        args = (load.e_lang, load.guidance) if stage == "run_pipeline" else (load.e_lang,)
+        with pytest.raises(ParameterError, match="^e_img: non-finite values are not allowed$"):
+            getattr(pipeline, stage)(e_img, *args, load.grid, goal_long())
 
 
 class TestMergeStage:
