@@ -163,11 +163,13 @@ def _stage_one_lines(stage: str, grid: PatchGrid, config: CompressionConfig, rep
     ]
 
 
+def _scene(args):
+    # (config, grid, e_img, e_lang) from the --config, --grid, --tokens and --lang arguments
+    return load_config(args.config), parse_grid(args.grid), read_tokens(args.tokens), read_tokens(args.lang)
+
+
 def _cmd_prune(args) -> list[str]:
-    config = load_config(args.config)
-    grid = parse_grid(args.grid)
-    e_img = read_tokens(args.tokens)
-    e_lang = read_tokens(args.lang)
+    config, grid, e_img, e_lang = _scene(args)
     kept, kept_idx, rep = prune_stage(e_img, e_lang, grid, config)
     if args.out:
         write_tokens(kept, args.out)
@@ -197,10 +199,7 @@ def _cmd_merge(args) -> list[str]:
 
 
 def _cmd_pipeline(args) -> list[str]:
-    config = load_config(args.config)
-    grid = parse_grid(args.grid)
-    e_img = read_tokens(args.tokens)
-    e_lang = read_tokens(args.lang)
+    config, grid, e_img, e_lang = _scene(args)
     guidance = read_tokens(args.guidance) if args.guidance else e_lang
     result = run_pipeline(e_img, e_lang, guidance, grid, config)
     if args.out:
@@ -236,15 +235,7 @@ def _cmd_cost(args) -> list[str]:
 
 
 def _cmd_gen(args) -> list[str]:
-    spec = WorkloadSpec(
-        grid=parse_grid(args.grid),
-        blocks=args.blocks,
-        block_size=(args.block_min, args.block_max),
-        embed_dim=args.dim,
-        margin=args.margin,
-        anchor_fraction=args.anchor_fraction,
-        seed=args.seed,
-    )
+    spec = WorkloadSpec(grid=parse_grid(args.grid), seed=args.seed)
     load = generate_workload(spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -267,10 +258,7 @@ def _cmd_gen(args) -> list[str]:
 
 
 def _cmd_viz(args) -> list[str]:
-    config = load_config(args.config)
-    grid = parse_grid(args.grid)
-    e_img = read_tokens(args.tokens)
-    e_lang = read_tokens(args.lang)
+    config, grid, e_img, e_lang = _scene(args)
     mask = anchor_mask(e_lang, e_img, grid)
     if args.mask_stage == "expand":
         mask = expand_mask(mask, config.expand, RngState(config.seed))
@@ -302,7 +290,7 @@ def _cmd_bench(args) -> list[str]:
     if args.reps < 1:
         raise ParameterError("bench needs at least one repetition")
     config = load_config(args.config)
-    load = generate_workload(WorkloadSpec(grid=parse_grid(args.grid), seed=args.workload_seed))
+    load = generate_workload(WorkloadSpec(grid=parse_grid(args.grid)))
     target = _bench_target(args.stage, load, config)
     for _ in range(min(10, args.reps)):
         target()  # warm caches and allocator before measuring
@@ -375,12 +363,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a synthetic planted-foreground workload")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--grid", default="2x16x16")
-    p.add_argument("--blocks", type=int, default=1)
-    p.add_argument("--block-min", type=int, default=5)
-    p.add_argument("--block-max", type=int, default=5)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--margin", type=float, default=0.5)
-    p.add_argument("--anchor-fraction", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=0)
     _add_report_args(p)
     p.set_defaults(func=_cmd_gen)
@@ -402,7 +384,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--grid", default="2x16x16")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--workload-seed", type=int, default=0)
     _add_report_args(p)
     p.set_defaults(func=_cmd_bench)
 

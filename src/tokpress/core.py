@@ -12,7 +12,6 @@ by concatenating per-camera patch grids.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +45,16 @@ def token_matrix(data, *, name: str = "tokens") -> np.ndarray:
     Returns a C-contiguous float32 array (a view when the input already
     qualifies, a copy otherwise).
     """
-    global _last_checked
+    return _tokens(data, name)[0]
+
+
+def _tokens(data, name: str, width: int | None = None, nonempty: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """One public input, checked, as (float32 token matrix, its float32 squared row norms).
+
+    The library's only token checks: 2-D, finite, width >= 1 (``width`` when given), a row if
+    ``nonempty``. The norms are those the finiteness check reads the matrix through once; the
+    kernels behind a public function trust both. Every message starts with ``name``.
+    """
     arr = np.ascontiguousarray(data, dtype=np.float32)
     if arr.ndim != 2:
         raise ShapeError(f"{name}: expected a 2-D (tokens x dim) array, got shape {arr.shape}")
@@ -55,30 +63,11 @@ def token_matrix(data, *, name: str = "tokens") -> np.ndarray:
     sq = sq_norms(arr)  # a NaN or inf makes its row's norm non-finite; so can float32 overflow
     if not np.isfinite(sq).all() and not np.isfinite(arr).all():
         raise ParameterError(f"{name}: non-finite values are not allowed")
-    _last_checked = (weakref.ref(arr), sq)
-    return arr
-
-
-_last_checked = (lambda: None, None)  # weakref to token_matrix's last result, and its norms
-
-
-def _checked_norms(arr: np.ndarray) -> np.ndarray:
-    """Float32 squared row norms of ``arr``, from its finiteness check if ``token_matrix`` returned it last."""
-    ref, sq = _last_checked
-    return sq if ref() is arr else sq_norms(arr)
-
-
-def _tokens(data, name: str, width: int | None = None, nonempty: bool = False) -> np.ndarray:
-    """:func:`token_matrix` of one public input, plus the library's only width and empty-input checks.
-
-    Every message starts with ``name``; the kernels behind a public function trust the result.
-    """
-    arr = token_matrix(data, name=name)
     if width is not None and arr.shape[1] != width:
         raise ShapeError(f"{name}: embedding width {arr.shape[1]}, expected {width}")
     if nonempty and arr.shape[0] == 0:
         raise ShapeError(f"{name}: needs at least one row, got 0")
-    return arr
+    return arr, sq
 
 
 def sq_norms(rows: np.ndarray) -> np.ndarray:

@@ -76,6 +76,7 @@ class TokenSchedule:
 
     @classmethod
     def flat(cls, visual: int, layers: int, non_visual: int = 0) -> "TokenSchedule":
+        _check_integer(layers, "layers")
         return cls(np.full(layers, visual), non_visual)
 
     @classmethod
@@ -83,6 +84,8 @@ class TokenSchedule:
         cls, kept: int, merged: int, merge_layer: int, layers: int, non_visual: int = 0
     ) -> "TokenSchedule":
         """Kept count up to merge_layer, merged count from there on."""
+        _check_integer(merge_layer, "merge_layer")
+        _check_integer(layers, "layers")
         if not 0 <= merge_layer < layers:
             raise ParameterError(f"merge_layer {merge_layer} out of range [0, {layers})")
         return cls(np.repeat([kept, merged], [merge_layer, layers - merge_layer]), non_visual)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ParameterError, PatchGrid, RngState, ShapeError, _check_integer, _checked_norms, _tokens
+from .core import ParameterError, PatchGrid, RngState, ShapeError, _check_integer, _tokens
 from .costmodel import TokenSchedule
 from .expand import ExpandParams, expand_mask
 from .merge import MergeParams, MergeReport, _fold
@@ -115,9 +115,8 @@ def prune_stage(e_img, e_lang, grid: PatchGrid, config: CompressionConfig):
     their original relative order. Language tokens with no rows or another
     width than ``e_img`` raise ShapeError before any step runs.
     """
-    e_img = _tokens(e_img, "e_img")
-    img_sq = _checked_norms(e_img)
-    return _prune(e_img, img_sq, _tokens(e_lang, "e_lang", e_img.shape[1], nonempty=True), grid, config)
+    e_img, img_sq = _tokens(e_img, "e_img")
+    return _prune(e_img, img_sq, _tokens(e_lang, "e_lang", e_img.shape[1], nonempty=True)[0], grid, config)
 
 
 def _merge(visual, guidance, config: CompressionConfig, out):
@@ -158,8 +157,8 @@ def merge_stage(hidden, guidance, visual_range, config: CompressionConfig):
     outside ``hidden``, and guidance with no rows or another width than
     ``hidden``, raise ShapeError.
     """
-    hidden = _tokens(hidden, "hidden")
-    guidance = _tokens(guidance, "guidance", hidden.shape[1], nonempty=True)
+    hidden, _ = _tokens(hidden, "hidden")
+    guidance, _ = _tokens(guidance, "guidance", hidden.shape[1], nonempty=True)
     start, stop = _visual_span(visual_range, hidden.shape[0])
     n = min(stop - start, config.merge.m)
     out = np.empty((hidden.shape[0] - (stop - start) + n, hidden.shape[1]), dtype=np.float32)
@@ -178,10 +177,9 @@ def run_pipeline(e_img, e_lang, guidance, grid: PatchGrid, config: CompressionCo
     from there on. Language tokens or guidance with no rows or another width
     than ``e_img`` raise ShapeError (language first) before stage one runs.
     """
-    e_img = _tokens(e_img, "e_img")
-    img_sq = _checked_norms(e_img)
-    e_lang = _tokens(e_lang, "e_lang", e_img.shape[1], nonempty=True)
-    guidance = _tokens(guidance, "guidance", e_img.shape[1], nonempty=True)
+    e_img, img_sq = _tokens(e_img, "e_img")
+    e_lang, _ = _tokens(e_lang, "e_lang", e_img.shape[1], nonempty=True)
+    guidance, _ = _tokens(guidance, "guidance", e_img.shape[1], nonempty=True)
 
     t0 = time.perf_counter()
     kept, kept_idx, prune_rep = _prune(e_img, img_sq, e_lang, grid, config)

@@ -22,7 +22,6 @@ from .core import (
     PatchGrid,
     ShapeError,
     _check_integer,
-    _checked_norms,
     _tokens,
     index_set,
     sq_norms,
@@ -87,9 +86,8 @@ def anchor_mask(e_lang, e_img, grid: PatchGrid) -> BinaryMask:
     float32 screen only narrows the rows that get scored, never the result.
     Argmax ties resolve to the lower token index.
     """
-    e_img = _tokens(e_img, "e_img")
-    img_sq = _checked_norms(e_img)
-    e_lang = _tokens(e_lang, "e_lang", e_img.shape[1], nonempty=True)
+    e_img, img_sq = _tokens(e_img, "e_img")
+    e_lang, _ = _tokens(e_lang, "e_lang", e_img.shape[1], nonempty=True)
     return _anchor_mask(e_lang, e_img, img_sq, grid)
 
 
@@ -107,8 +105,9 @@ def relevance_scores(e_img, guides) -> np.ndarray:
     The max keeps scores robust to irrelevant guides. Similarities are
     computed in float64; returns float32, one score per image token.
     """
-    visual = _tokens(e_img, "e_img", nonempty=True)
-    return _relevance(visual, _tokens(guides, "guides", visual.shape[1], nonempty=True))[0]
+    visual, _ = _tokens(e_img, "e_img", nonempty=True)
+    guides, _ = _tokens(guides, "guides", visual.shape[1], nonempty=True)
+    return _relevance(visual, guides)[0]
 
 
 def top_m(scores, m: int) -> np.ndarray:

@@ -7,9 +7,12 @@ runs past the usual keep size, so scenes that keep fewer than m tokens are
 drawn too.
 
 ``corrupt_scenes`` takes such a scene and corrupts one of its inputs, in
-one of the ways ``CORRUPTIONS`` lists. ``mask_of`` builds a mask from token
-indices.
+one of the ways ``CORRUPTIONS`` lists. ``EDGE_SCENES`` are fixed scenes at
+the edges of what the pipeline accepts, for the property tests' explicit
+examples. ``mask_of`` builds a mask from token indices.
 """
+
+import dataclasses
 
 import numpy as np
 from hypothesis import strategies as st
@@ -35,6 +38,22 @@ CORRUPTIONS = {
 }
 #: corruptions caught only by stage one's grid row-count check
 REACH_STAGE_ONE = {"e_img-empty", "e_img-off-grid"}
+
+
+def _edge_scenes():
+    default = generate_workload(WorkloadSpec(grid=PatchGrid(2, 16, 16)))
+    zero = dataclasses.replace(default, e_img=np.zeros_like(default.e_img), e_lang=np.zeros_like(default.e_lang))
+    wide_kernel = CompressionConfig(expand=ExpandParams(9, 1))
+    return [
+        (zero, CompressionConfig()),  # every cosine is 0: one anchor, at token 0
+        (generate_workload(WorkloadSpec(grid=PatchGrid(1, 1, 1), block_size=(1, 1))), wide_kernel),
+        (generate_workload(WorkloadSpec(grid=PatchGrid(1, 4, 4), block_size=(3, 3))), wide_kernel),
+    ]
+
+
+#: (workload, config): all-zero e_img and e_lang on the default scene and config,
+#: and a 9x9 expansion kernel on 1x1x1 and 1x4x4 grids, larger than either
+EDGE_SCENES = _edge_scenes()
 
 
 def mask_of(grid, indices=()) -> BinaryMask:

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scenes import CORRUPTIONS, REACH_STAGE_ONE, corrupt_scenes, small_scenes
+from scenes import CORRUPTIONS, EDGE_SCENES, REACH_STAGE_ONE, corrupt_scenes, small_scenes
 from tokpress import cli, pipeline
 from tokpress.cli import CONFIG_KEYS, load_config, main, parse_grid, parse_schedule
 from tokpress.core import ParameterError, ShapeError
@@ -20,6 +20,7 @@ from tokpress.expand import ExpandParams
 from tokpress.merge import MergeParams
 from tokpress.pipeline import CompressionConfig, run_pipeline
 from tokpress.tokenfile import read_tokens, write_tokens
+from tokpress.workload import WorkloadSpec, generate_workload
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -223,6 +224,15 @@ class TestSubcommands:
         assert (workload_dir / "truth_v0.pgm").exists()
         assert (workload_dir / "truth_v1.pgm").exists()
 
+    @pytest.mark.parametrize("grid,seed", [("2x16x16", 3), ("1x8x8", 0), ("3x6x9", 41)])
+    def test_gen_writes_the_default_scene_of_its_grid_and_seed(self, tmp_path, grid, seed):
+        out = tmp_path / "gen"
+        assert main(["gen", "--out-dir", str(out), "--grid", grid, "--seed", str(seed)]) == 0
+        load = generate_workload(WorkloadSpec(grid=parse_grid(grid), seed=seed))
+        for name, rows in (("img", load.e_img), ("lang", load.e_lang), ("guidance", load.guidance)):
+            write_tokens(rows, tmp_path / f"{name}.tkb")
+            assert (out / f"{name}.tkb").read_bytes() == (tmp_path / f"{name}.tkb").read_bytes()
+
     def test_prune_report_and_output(self, workload_dir, config_path, tmp_path, capsys):
         out = tmp_path / "kept.tkb"
         code = main(
@@ -265,13 +275,14 @@ class TestSubcommands:
         compressed = read_tokens(out)
         assert compressed.shape[0] == int(rep["sequence_out"])
 
-    @pytest.mark.parametrize("grid,block", [("1x8x8", "5"), ("1x12x12", "5"), ("1x1x1", "1")])
+    @pytest.mark.parametrize("grid,block", [("1x8x8", 5), ("1x12x12", 5), ("1x1x1", 1)])
     def test_pipeline_small_scene_merges_to_kept(self, tmp_path, capsys, grid, block):
         # the default config keeps fewer than its m = 80 sources here
         w = tmp_path / "w"
-        gen = ["gen", "--out-dir", str(w), "--grid", grid, "--block-min", block, "--block-max", block]
-        assert main(gen) == 0
-        capsys.readouterr()
+        w.mkdir()
+        load = generate_workload(WorkloadSpec(grid=parse_grid(grid), block_size=(block, block)))
+        for name, rows in (("img", load.e_img), ("lang", load.e_lang), ("guidance", load.guidance)):
+            write_tokens(rows, w / f"{name}.tkb")
         code = main(
             [
                 "pipeline",
@@ -692,6 +703,9 @@ class TestRepeatedCalls:
         assert len(built) == 8
 
     @given(small_scenes(), st.booleans())
+    @example(EDGE_SCENES[0], False)
+    @example(EDGE_SCENES[1], True)
+    @example(EDGE_SCENES[2], True)
     @settings(max_examples=25, deadline=None)
     def test_pipeline_accounting_property(self, scene, guided):
         load, config = scene

@@ -43,6 +43,10 @@ class TestIntegerChecks:
             (lambda: TokenSchedule(np.array([True, False])), "TokenSchedule.visual_counts"),
             (lambda: TokenSchedule.flat(10.5, 3), "TokenSchedule.visual_counts"),
             (lambda: TokenSchedule.two_stage(196.5, 80, 3, 8), "TokenSchedule.visual_counts"),
+            (lambda: TokenSchedule.two_stage(196, 80, 2.5, 8), "^merge_layer must"),
+            (lambda: TokenSchedule.two_stage(196, 80, 3, 8.5), "^layers must"),
+            (lambda: TokenSchedule.flat(10, 3.0), "^layers must"),
+            (lambda: TokenSchedule.flat(10, True), "^layers must"),
         ],
     )
     def test_non_integer_raises_naming_field(self, build, field):

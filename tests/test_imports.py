@@ -1,7 +1,8 @@
 """Every name a library module, test module or demo imports is used in that
 file, every third-party package the library imports is a declared
-dependency, and every name the package exports or the benchmark's tracer
-binds exists.
+dependency, every name the package exports or the benchmark's tracer
+binds exists, and no library module rebinds a module-level name from a
+function.
 
 Deleting code tends to leave its imports behind, and its name in other
 places; this catches them. The package ``__init__`` re-exports names on
@@ -54,6 +55,26 @@ def test_no_unused_imports(path):
 def test_guard_sees_an_unused_import():
     source = "import os\nimport sys\nfrom pathlib import Path as P\nsys.exit(0)\n"
     assert unused_imports(source) == ["line 1: os", "line 3: P"]
+
+
+def global_statements(source: str) -> list[str]:
+    """``line N: a, b`` for each ``global`` statement in ``source``."""
+    return [
+        f"line {node.lineno}: {', '.join(node.names)}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Global)
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_global_state(path):
+    # the library is stateless: a function that rebinds a module-level name shares state across calls and threads
+    assert global_statements(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_a_global_statement():
+    source = "_cache = None\n\ndef f(x):\n    global _cache\n    _cache = x\n    return x\n"
+    assert global_statements(source) == ["line 4: _cache"]
 
 
 def third_party_imports(source: str) -> set[str]:

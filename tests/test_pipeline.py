@@ -4,10 +4,10 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import oracles
-from scenes import small_scenes
+from scenes import EDGE_SCENES, small_scenes
 from tokpress import core, pipeline
 from tokpress.core import ParameterError, PatchGrid, RngState, ShapeError
 from tokpress.expand import ExpandParams
@@ -200,8 +200,9 @@ class TestImageNormsFromValidation:
         assert [sum(rows is load.e_img for rows in calls) for calls in seen.values()] == [1, 0]
 
     def test_threads_never_take_each_others_norms(self):
-        # the norms hand-off is shared by every thread; rows scaled over six decades make
-        # the anchor screen pick wrong rows if it ever ranks one matrix with another's norms
+        # guards against shared state coming back: validation hands e_img's norms to the
+        # anchor screen, and rows scaled over six decades make the screen pick wrong rows
+        # if a thread ever ranks one matrix with another's norms
         scenes = []
         for seed in range(6):
             load = load_2view(30 + seed)
@@ -432,6 +433,9 @@ class TestRunPipeline:
             run_pipeline(load.e_img, inputs["e_lang"], inputs["guidance"], load.grid, goal_long())
 
     @given(small_scenes())
+    @example(EDGE_SCENES[0])
+    @example(EDGE_SCENES[1])
+    @example(EDGE_SCENES[2])
     @settings(max_examples=30, deadline=None)
     def test_accounting_property(self, scene):
         load, config = scene
@@ -445,6 +449,7 @@ class TestRunPipeline:
         assert rep.merged_away == rep.keep_size - final
         assert (np.diff(rep.schedule.visual_counts) <= 0).all()
         assert a.compressed.shape[0] == final + rep.schedule.non_visual
+        assert np.isfinite(a.compressed).all()
         assert a.compressed.tobytes() == b.compressed.tobytes()
         assert a.kept_indices.tobytes() == b.kept_indices.tobytes()
 
@@ -455,15 +460,15 @@ class TestCheckedOnce:
     @pytest.fixture()
     def calls(self, monkeypatch):
         names = []
-        original = core.token_matrix
+        original = core._tokens
 
-        def counted(data, *, name="tokens"):
+        def counted(data, name, *args, **kwargs):
             names.append(name)
-            return original(data, name=name)
+            return original(data, name, *args, **kwargs)
 
         for modname, mod in list(sys.modules.items()):
-            if modname.startswith("tokpress") and vars(mod).get("token_matrix") is original:
-                monkeypatch.setattr(mod, "token_matrix", counted)
+            if modname.startswith("tokpress") and vars(mod).get("_tokens") is original:
+                monkeypatch.setattr(mod, "_tokens", counted)
         return names
 
     def test_run_pipeline(self, calls):
