@@ -193,7 +193,7 @@ def _cmd_merge(args) -> list[str]:
         f"tokens_before={rep.tokens_before}",
         f"tokens_after={rep.tokens_after}",
         f"absorbed={rep.tokens_before - rep.tokens_after}",
-        f"weight_total={float(rep.absorbed_weight.sum())!r}",
+        f"weight_total={rep.absorbed_weight.sum():.6f}",
         f"sources={','.join(str(i) for i in rep.source_indices)}",
     ]
 

@@ -83,13 +83,12 @@ class PipelineReport:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Report plus the actual tensors, so callers never rerun stages."""
+    """Report plus the tensors, so callers never rerun stages; the kept rows are ``e_img[kept_indices]``."""
 
     report: PipelineReport
     prune: PruneReport
     merge: MergeReport
     kept_indices: np.ndarray
-    kept: np.ndarray
     compressed: np.ndarray
 
 
@@ -105,7 +104,7 @@ def _prune(e_img, img_sq, e_lang, grid: PatchGrid, config: CompressionConfig):
         kept=int(kept_idx.size),
         pruned=grid.total - int(kept_idx.size),
     )
-    return e_img[kept_idx], kept_idx, report
+    return kept_idx, report
 
 
 def prune_stage(e_img, e_lang, grid: PatchGrid, config: CompressionConfig):
@@ -116,16 +115,18 @@ def prune_stage(e_img, e_lang, grid: PatchGrid, config: CompressionConfig):
     width than ``e_img`` raise ShapeError before any step runs.
     """
     e_img, img_sq = _tokens(e_img, "e_img")
-    return _prune(e_img, img_sq, _tokens(e_lang, "e_lang", e_img.shape[1], nonempty=True)[0], grid, config)
+    e_lang, _ = _tokens(e_lang, "e_lang", e_img.shape[1], nonempty=True)
+    kept_idx, report = _prune(e_img, img_sq, e_lang, grid, config)
+    return e_img[kept_idx], kept_idx, report
 
 
-def _merge(visual, guidance, config: CompressionConfig, out):
-    # merges the float32 span into out's rows, with the top len(out) rows by relevance as sources
-    scores, sq = _relevance(visual, guidance)
+def _merge(rows, idx, guidance, config: CompressionConfig, out):
+    # merges rows[idx] into out's rows; sources are the top len(out) by relevance, as positions in idx
+    scores, sq = _relevance(rows, idx, guidance)
     source = top_m(scores, out.shape[0])
-    rest = np.ones(visual.shape[0], dtype=bool)
+    rest = np.ones(idx.size, dtype=bool)
     rest[source] = False
-    return source, _fold(visual[source], sq[source], visual[rest], sq[rest], config.merge.mode, out)
+    return source, _fold(rows[idx[source]], sq[source], rows[idx[rest]], sq[rest], config.merge.mode, out)
 
 
 def _visual_span(visual_range, rows: int) -> tuple[int, int]:
@@ -163,7 +164,7 @@ def merge_stage(hidden, guidance, visual_range, config: CompressionConfig):
     n = min(stop - start, config.merge.m)
     out = np.empty((hidden.shape[0] - (stop - start) + n, hidden.shape[1]), dtype=np.float32)
     out[:start], out[start + n :] = hidden[:start], hidden[stop:]
-    source, absorbed = _merge(hidden[start:stop], guidance, config, out[start : start + n])
+    source, absorbed = _merge(hidden, np.arange(start, stop), guidance, config, out[start : start + n])
     return out, MergeReport(source + start, absorbed, stop - start, n)
 
 
@@ -182,11 +183,11 @@ def run_pipeline(e_img, e_lang, guidance, grid: PatchGrid, config: CompressionCo
     guidance, _ = _tokens(guidance, "guidance", e_img.shape[1], nonempty=True)
 
     t0 = time.perf_counter()
-    kept, kept_idx, prune_rep = _prune(e_img, img_sq, e_lang, grid, config)
+    kept_idx, prune_rep = _prune(e_img, img_sq, e_lang, grid, config)
     t1 = time.perf_counter()
     n = min(prune_rep.kept, config.merge.m)
     compressed = np.empty((n + e_lang.shape[0] + guidance.shape[0], e_img.shape[1]), dtype=np.float32)
-    source, absorbed = _merge(kept, guidance, config, compressed[:n])
+    source, absorbed = _merge(e_img, kept_idx, guidance, config, compressed[:n])
     np.concatenate([e_lang, guidance], out=compressed[n:])
     merge_rep = MergeReport(source, absorbed, prune_rep.kept, n)
     t2 = time.perf_counter()
@@ -205,4 +206,4 @@ def run_pipeline(e_img, e_lang, guidance, grid: PatchGrid, config: CompressionCo
         schedule=schedule,
         timings_ms={"prune": (t1 - t0) * 1e3, "merge": (t2 - t1) * 1e3},
     )
-    return PipelineResult(report, prune_rep, merge_rep, kept_idx, kept, compressed)
+    return PipelineResult(report, prune_rep, merge_rep, kept_idx, compressed)

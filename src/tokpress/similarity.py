@@ -29,6 +29,7 @@ from .core import (
 
 _U32 = 2.0**-24  # float32 unit roundoff
 _SAFE_SQ = (2.0**-60, 2.0**60)  # float32 squared row norms the screen's bound covers
+_BLOCK = 2**15  # float64 values per upcast block of _relevance: 256 KB, so a block stays in cache
 
 
 def _cosine(dots: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
@@ -91,12 +92,15 @@ def anchor_mask(e_lang, e_img, grid: PatchGrid) -> BinaryMask:
     return _anchor_mask(e_lang, e_img, img_sq, grid)
 
 
-def _relevance(visual: np.ndarray, guides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # float32 scores of checked token matrices, and visual's float64 squared row norms, from one upcast
-    visual, guides = visual.astype(np.float64), guides.astype(np.float64)
-    visual_sq = sq_norms(visual)
-    sims = _cosine(visual @ guides.T, visual_sq, sq_norms(guides))
-    return sims.max(axis=1).astype(np.float32), visual_sq
+def _relevance(rows: np.ndarray, idx: np.ndarray, guides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # float32 scores of rows[idx] and their float64 squared norms, upcast a block at a time
+    guides, step = guides.astype(np.float64), max(1, _BLOCK // rows.shape[1])
+    dots, sq = np.empty((idx.size, guides.shape[0])), np.empty(idx.size)
+    for i in range(0, idx.size, step):
+        block = rows[idx[i : i + step]].astype(np.float64)
+        sq[i : i + step] = sq_norms(block)
+        np.matmul(block, guides.T, out=dots[i : i + step])
+    return _cosine(dots, sq, sq_norms(guides)).max(axis=1).astype(np.float32), sq
 
 
 def relevance_scores(e_img, guides) -> np.ndarray:
@@ -107,7 +111,7 @@ def relevance_scores(e_img, guides) -> np.ndarray:
     """
     visual, _ = _tokens(e_img, "e_img", nonempty=True)
     guides, _ = _tokens(guides, "guides", visual.shape[1], nonempty=True)
-    return _relevance(visual, guides)[0]
+    return _relevance(visual, np.arange(visual.shape[0]), guides)[0]
 
 
 def top_m(scores, m: int) -> np.ndarray:

@@ -7,12 +7,13 @@ format is checkable byte for byte and costs no dependencies.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .core import BinaryMask, ParameterError, token_matrix
+from .core import BinaryMask, ParameterError, sq_norms, token_matrix
 
 MAGIC = b"TKB1"
 _HEADER = struct.Struct("<4sII")
@@ -43,22 +44,26 @@ def write_tokens(matrix, path) -> None:
 
 
 def read_tokens(path) -> np.ndarray:
-    """Parse a container back into a float32 matrix, bitwise lossless."""
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size:
-        raise SizeError(f"{path}: {len(blob)} bytes is shorter than the 12-byte header")
-    magic, rows, cols = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise MagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    expected = _HEADER.size + 4 * rows * cols
-    if len(blob) != expected:
-        raise SizeError(f"{path}: {len(blob)} bytes, header implies {expected}")
-    if cols < 1:
-        raise PayloadError(f"{path}: column count must be >= 1, got {cols}")
-    data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(rows, cols)
-    if data.size and not np.isfinite(data).all():
+    """Parse a container back into a float32 matrix, bitwise lossless; the payload is read once."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size < _HEADER.size:
+            raise SizeError(f"{path}: {size} bytes is shorter than the 12-byte header")
+        magic, rows, cols = _HEADER.unpack(f.read(_HEADER.size))
+        if magic != MAGIC:
+            raise MagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        expected = _HEADER.size + 4 * rows * cols
+        if size != expected:
+            raise SizeError(f"{path}: {size} bytes, header implies {expected}")
+        if cols < 1:
+            raise PayloadError(f"{path}: column count must be >= 1, got {cols}")
+        data = np.empty((rows, cols), dtype="<f4")
+        if f.readinto(data) != data.nbytes:  # the file shrank after its size was read
+            raise SizeError(f"{path}: payload ends early, header implies {expected} bytes")
+    # a NaN or inf makes its row's norm non-finite; so can float32 overflow, which the full scan rules out
+    if not np.isfinite(sq_norms(data)).all() and not np.isfinite(data).all():
         raise PayloadError(f"{path}: payload contains non-finite values")
-    return data.astype(np.float32)
+    return data.astype(np.float32, copy=False)
 
 
 def export_mask_pgm(mask: BinaryMask, path) -> None:

@@ -9,7 +9,8 @@ drawn too.
 ``corrupt_scenes`` takes such a scene and corrupts one of its inputs, in
 one of the ways ``CORRUPTIONS`` lists. ``EDGE_SCENES`` are fixed scenes at
 the edges of what the pipeline accepts, for the property tests' explicit
-examples. ``mask_of`` builds a mask from token indices.
+examples. ``BLOCK_EDGES`` are (width, row count) pairs around the block
+size of the relevance upcast. ``mask_of`` builds a mask from token indices.
 """
 
 import dataclasses
@@ -21,6 +22,7 @@ from tokpress.core import BinaryMask, PatchGrid
 from tokpress.expand import ExpandParams
 from tokpress.merge import MergeParams
 from tokpress.pipeline import CompressionConfig
+from tokpress.similarity import _BLOCK
 from tokpress.workload import WorkloadSpec, generate_workload
 
 #: corruption -> the input it makes invalid (None: the scene stays valid)
@@ -48,12 +50,24 @@ def _edge_scenes():
         (zero, CompressionConfig()),  # every cosine is 0: one anchor, at token 0
         (generate_workload(WorkloadSpec(grid=PatchGrid(1, 1, 1), block_size=(1, 1))), wide_kernel),
         (generate_workload(WorkloadSpec(grid=PatchGrid(1, 4, 4), block_size=(3, 3))), wide_kernel),
+        (default, CompressionConfig(context_fraction=0.0)),  # no context: anchors and expansion alone
+        (default, CompressionConfig(context_fraction=1.0)),  # every token is context and kept
     ]
 
 
 #: (workload, config): all-zero e_img and e_lang on the default scene and config,
-#: and a 9x9 expansion kernel on 1x1x1 and 1x4x4 grids, larger than either
+#: a 9x9 expansion kernel on 1x1x1 and 1x4x4 grids, larger than either, and the
+#: default scene at context fractions 0 and 1
 EDGE_SCENES = _edge_scenes()
+
+
+def _block_edges(d: int) -> list[tuple[int, int]]:
+    b = _BLOCK // d  # rows per upcast block
+    return [(d, n) for n in (1, b - 1, b, b + 1, 3 * b + 5)]
+
+
+#: (d, rows) at d=64 and d=4096: 1, B - 1, B, B + 1 and 3B + 5 rows, B rows per upcast block
+BLOCK_EDGES = _block_edges(64) + _block_edges(4096)
 
 
 def mask_of(grid, indices=()) -> BinaryMask:

@@ -333,6 +333,14 @@ class TestSubcommands:
         assert read_tokens(out).shape[0] == 80
         assert abs(float(rep["weight_total"]) - 432.0) < 1e-3
 
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    def test_merge_weight_total_is_the_target_count_to_six_decimals(self, workload_dir, tmp_path, capsys, mode):
+        cfg = tmp_path / "mode.json"
+        cfg.write_text(json.dumps({"merge_mode": mode}))
+        tokens = ["--tokens", str(workload_dir / "img.tkb"), "--guidance", str(workload_dir / "guidance.tkb")]
+        assert main(["merge", *tokens, "--config", str(cfg), "--visual", "0:512"]) == 0
+        assert report_dict(capsys.readouterr().out)["weight_total"] == f"{512 - 80:.6f}"
+
     def test_prune_then_merge_matches_pipeline_on_a_small_scene(self, tmp_path, capsys):
         # 1x8x8 keeps fewer rows than m = 80; merge_stage then passes them
         # through unmerged, as run_pipeline does
@@ -706,6 +714,8 @@ class TestRepeatedCalls:
     @example(EDGE_SCENES[0], False)
     @example(EDGE_SCENES[1], True)
     @example(EDGE_SCENES[2], True)
+    @example(EDGE_SCENES[3], False)
+    @example(EDGE_SCENES[4], True)
     @settings(max_examples=25, deadline=None)
     def test_pipeline_accounting_property(self, scene, guided):
         load, config = scene

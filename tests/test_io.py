@@ -1,4 +1,6 @@
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +90,58 @@ class TestTokenContainer:
             path = tmp_path / f"t{trial}.tkb"
             write_tokens(m, path)
             assert np.array_equal(read_tokens(path), m)
+
+    @pytest.mark.parametrize(
+        "blob,error,message",
+        [
+            (b"TKB1\x01", SizeError, "5 bytes is shorter than the 12-byte header"),
+            (b"XXXX" + struct.pack("<II", 1, 1) + bytes(4), MagicError, "bad magic b'XXXX', expected b'TKB1'"),
+            (MAGIC + struct.pack("<II", 2, 2) + bytes(8), SizeError, "20 bytes, header implies 28"),
+            (MAGIC + struct.pack("<II", 3, 0), PayloadError, "column count must be >= 1, got 0"),
+            (MAGIC + struct.pack("<II", 1, 2) + struct.pack("<2f", 1.0, np.inf), PayloadError,
+             "payload contains non-finite values"),
+        ],
+    )  # fmt: skip
+    def test_error_messages_name_the_file(self, tmp_path, blob, error, message):
+        path = tmp_path / "x.tkb"
+        path.write_bytes(blob)
+        with pytest.raises(error) as info:
+            read_tokens(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_file_shrinking_after_its_size_was_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.tkb"
+        write_tokens(np.ones((2, 3), dtype=np.float32), path)
+        fstat = os.fstat
+
+        def size_then_shrink(fd):
+            size = fstat(fd)
+            os.truncate(path, size.st_size - 4)
+            return size
+
+        monkeypatch.setattr(os, "fstat", size_then_shrink)
+        with pytest.raises(SizeError, match="payload ends early, header implies 36 bytes$"):
+            read_tokens(path)
+
+    def test_extreme_finite_values_round_trip_bitwise(self, tmp_path):
+        # the row norms of 3e38 overflow to inf, yet every entry is finite
+        tiny = np.finfo(np.float32).smallest_subnormal
+        m = np.array([[3e38, -3e38, 0.0], [-0.0, tiny, -tiny]], dtype=np.float32)
+        write_tokens(m, tmp_path / "x.tkb")
+        assert read_tokens(tmp_path / "x.tkb").tobytes() == m.tobytes()
+
+    def test_payload_read_once_into_the_result(self, tmp_path):
+        # no copy of the payload and no rows x cols temporary: the result is the peak
+        m = np.random.default_rng(1).standard_normal((256, 1024)).astype(np.float32)
+        write_tokens(m, tmp_path / "x.tkb")
+        tracemalloc.start()
+        try:
+            got = read_tokens(tmp_path / "x.tkb")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == m.tobytes()
+        assert peak < m.nbytes + m.size // 8
 
     def test_write_rejects_non_finite(self, tmp_path):
         with pytest.raises(ParameterError):

@@ -1,13 +1,14 @@
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
 import oracles
-from scenes import EDGE_SCENES, small_scenes
+from scenes import BLOCK_EDGES, EDGE_SCENES, small_scenes
 from tokpress import core, pipeline
 from tokpress.core import ParameterError, PatchGrid, RngState, ShapeError
 from tokpress.expand import ExpandParams
@@ -276,7 +277,7 @@ class TestMergeStage:
         assert abs(s_vec.sum() - 3) < 1e-6
 
     def test_vla_width_matches_step_oracle(self):
-        # d=4096, the scale where merge_stage scores and folds one float64 upcast
+        # d=4096, the scale where merge_stage upcasts its span 8 rows at a time
         load = generate_workload(WorkloadSpec(grid=PatchGrid(1, 8, 12), embed_dim=4096, seed=15))
         hidden = np.vstack([load.e_img, load.e_lang])
         out, rep = merge_stage(hidden, load.guidance, (0, 96), goal_long(merge=MergeParams(m=40)))
@@ -288,6 +289,24 @@ class TestMergeStage:
         assert np.max(np.abs(out[:40].astype(np.float64) - want)) <= 1e-5
         assert np.allclose(rep.absorbed_weight, s_vec, atol=1e-8)
         assert np.array_equal(out[40:], load.e_lang)
+
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    @pytest.mark.parametrize("d,n", BLOCK_EDGES)
+    def test_span_off_the_block_edges_matches_step_oracle(self, d, n, mode):
+        # the span starts at row 3, so its upcast blocks do not line up with the sequence's
+        rng = np.random.default_rng(n)
+        hidden = rng.standard_normal((n + 5, d)).astype(np.float32)
+        guidance = rng.standard_normal((4, d)).astype(np.float32)
+        m = min(n, 6)
+        out, rep = merge_stage(hidden, guidance, (3, 3 + n), goal_long(merge=MergeParams(m=m, mode=mode)))
+        span = hidden[3 : 3 + n]
+        src = oracles.top_m_indices(oracles.cosine(span, guidance).max(axis=1).astype(np.float32), m)
+        assert (rep.source_indices - 3).tolist() == src
+        rest = sorted(set(range(n)) - set(src))
+        want, _, s_vec = oracles.merge_steps(span[src], span[rest], mode=mode)
+        assert np.max(np.abs(out[3 : 3 + m].astype(np.float64) - want)) <= 1e-5
+        assert np.allclose(rep.absorbed_weight, s_vec, atol=1e-8)
+        assert np.array_equal(out[:3], hidden[:3]) and np.array_equal(out[3 + m :], hidden[3 + n :])
 
     def test_goal_long_count(self):
         load = load_2view(7)
@@ -422,7 +441,18 @@ class TestRunPipeline:
         rep = result.report
         assert rep.keep_size < 80 and rep.merged_away == 0
         assert (rep.schedule.visual_counts == rep.keep_size).all()
-        assert np.array_equal(result.compressed[: rep.keep_size], result.kept)
+        assert np.array_equal(result.compressed[: rep.keep_size], load.e_img[result.kept_indices])
+
+    def test_peak_memory_below_one_float64_copy_of_the_kept_rows(self):
+        # the kept rows are upcast a block at a time and never copied whole
+        load = generate_workload(WorkloadSpec(grid=PatchGrid(2, 16, 16), embed_dim=4096))
+        tracemalloc.start()
+        try:
+            result = run_pipeline(load.e_img, load.e_lang, load.guidance, load.grid, CompressionConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < result.report.keep_size * 4096 * 8
 
     @pytest.mark.parametrize("which", ["e_lang", "guidance"])
     def test_width_mismatch_rejected_before_stage_one(self, monkeypatch, which):
@@ -436,6 +466,8 @@ class TestRunPipeline:
     @example(EDGE_SCENES[0])
     @example(EDGE_SCENES[1])
     @example(EDGE_SCENES[2])
+    @example(EDGE_SCENES[3])
+    @example(EDGE_SCENES[4])
     @settings(max_examples=30, deadline=None)
     def test_accounting_property(self, scene):
         load, config = scene

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from scenes import BLOCK_EDGES
 from tokpress.core import GridRangeError, ParameterError, PatchGrid, ShapeError, sq_norms
 from tokpress.similarity import _cosine, anchor_mask, relevance_scores, top_m
 
@@ -231,6 +232,22 @@ class TestRelevanceScores:
         base = relevance_scores(e_img, guides)
         assert np.allclose(relevance_scores(scaled_img, guides), base, atol=1e-6)
         assert np.allclose(relevance_scores(e_img, scaled_guides), base, atol=1e-6)
+
+
+class TestBlockedRelevance:
+    """Rows are scored a block at a time; row counts on and around the block edges."""
+
+    @pytest.mark.parametrize("d,n", BLOCK_EDGES)
+    def test_scores_and_ranking_match_the_whole_matrix_cosine(self, d, n):
+        e_img, guides = rand((n, d), n), rand((5, d), d)
+        rows, g = e_img.astype(np.float64), guides.astype(np.float64)
+        whole = (rows @ g.T / np.outer(np.sqrt(sq_norms(rows)), np.sqrt(sq_norms(g)))).max(axis=1)
+        got = relevance_scores(e_img, guides)
+        # each float32 score is the rounding of a value within 1e-12 of the whole-matrix score
+        assert ((whole - 1e-12).astype(np.float32) <= got).all()
+        assert (got <= (whole + 1e-12).astype(np.float32)).all()
+        m = (n + 1) // 2
+        assert top_m(got, m).tolist() == oracles.top_m_indices(whole.astype(np.float32), m)
 
 
 class TestTopM:
