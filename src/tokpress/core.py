@@ -45,29 +45,33 @@ def token_matrix(data, *, name: str = "tokens") -> np.ndarray:
     Returns a C-contiguous float32 array (a view when the input already
     qualifies, a copy otherwise).
     """
-    return _tokens(data, name)[0]
+    return _tokens(data, name)
 
 
-def _tokens(data, name: str, width: int | None = None, nonempty: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """One public input, checked, as (float32 token matrix, its float32 squared row norms).
-
-    The library's only token checks: 2-D, finite, width >= 1 (``width`` when given), a row if
-    ``nonempty``. The norms are those the finiteness check reads the matrix through once; the
-    kernels behind a public function trust both. Every message starts with ``name``.
-    """
+def _matrix(data, name: str) -> np.ndarray:
     arr = np.ascontiguousarray(data, dtype=np.float32)
     if arr.ndim != 2:
         raise ShapeError(f"{name}: expected a 2-D (tokens x dim) array, got shape {arr.shape}")
     if arr.shape[1] < 1:
         raise ShapeError(f"{name}: embedding dimension must be >= 1")
-    sq = sq_norms(arr)  # a NaN or inf makes its row's norm non-finite; so can float32 overflow
-    if not np.isfinite(sq).all() and not np.isfinite(arr).all():
+    return arr
+
+
+def _finite(arr: np.ndarray, sq: np.ndarray, name: str) -> None:
+    if not np.isfinite(sq).all() and not np.isfinite(arr).all():  # sq, squared row norms, can overflow float32
         raise ParameterError(f"{name}: non-finite values are not allowed")
+
+
+def _tokens(data, name: str, width: int | None = None, nonempty: bool = False) -> np.ndarray:
+    """One public input as a float32 matrix the kernels behind it trust: 2-D, finite, width >= 1
+    (``width`` when given), a row if ``nonempty``. Every message starts with ``name``."""
+    arr = _matrix(data, name)
+    _finite(arr, sq_norms(arr), name)
     if width is not None and arr.shape[1] != width:
         raise ShapeError(f"{name}: embedding width {arr.shape[1]}, expected {width}")
     if nonempty and arr.shape[0] == 0:
         raise ShapeError(f"{name}: needs at least one row, got 0")
-    return arr, sq
+    return arr
 
 
 def sq_norms(rows: np.ndarray) -> np.ndarray:

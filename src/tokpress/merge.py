@@ -83,8 +83,8 @@ def _logits(sources, s_sq, targets, t_sq) -> np.ndarray:
 
 def match_logits(sources, targets) -> np.ndarray:
     """Scaled similarity logits, one row per target: dot(rms(t_i), rms(s_j)) / sqrt(d)."""
-    sources = _tokens(sources, "sources")[0].astype(np.float64)
-    targets = _tokens(targets, "targets", sources.shape[1])[0].astype(np.float64)
+    sources = _tokens(sources, "sources").astype(np.float64)
+    targets = _tokens(targets, "targets", sources.shape[1]).astype(np.float64)
     return _logits(sources, sq_norms(sources), targets, sq_norms(targets))
 
 
@@ -150,8 +150,8 @@ def soft_bipartite_merge(sources, targets, params: MergeParams) -> tuple[np.ndar
     come back bitwise unchanged. The report's ``source_indices`` are the
     source rows' own positions, 0 to m - 1.
     """
-    sources, _ = _tokens(sources, "sources")
-    targets, _ = _tokens(targets, "targets", sources.shape[1])
+    sources = _tokens(sources, "sources")
+    targets = _tokens(targets, "targets", sources.shape[1])
     n_s, n_t = sources.shape[0], targets.shape[0]
     if params.m != n_s:  # m >= 1, so this also rejects an empty source set
         raise ParameterError(f"params.m = {params.m} but {n_s} source rows were given")

@@ -25,7 +25,7 @@ from .costmodel import TokenSchedule
 from .expand import ExpandParams, expand_mask
 from .merge import MergeParams, MergeReport, _fold
 from .sampling import context_indices, keep_set
-from .similarity import _anchor_mask, _relevance, top_m
+from .similarity import _anchor_mask, _relevance, _screened, top_m
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,8 @@ class PipelineResult:
     compressed: np.ndarray
 
 
-def _prune(e_img, img_sq, e_lang, grid: PatchGrid, config: CompressionConfig):
-    anchors = _anchor_mask(e_lang, e_img, img_sq, grid)
+def _prune(e_img, e_lang, screen, grid: PatchGrid, config: CompressionConfig):
+    anchors = _anchor_mask(e_img, e_lang, screen, grid)
     expanded = expand_mask(anchors, config.expand, RngState(config.seed))
     context = context_indices(grid.total, config.context_fraction)
     kept_idx = keep_set(expanded, context)
@@ -114,9 +114,8 @@ def prune_stage(e_img, e_lang, grid: PatchGrid, config: CompressionConfig):
     their original relative order. Language tokens with no rows or another
     width than ``e_img`` raise ShapeError before any step runs.
     """
-    e_img, img_sq = _tokens(e_img, "e_img")
-    e_lang, _ = _tokens(e_lang, "e_lang", e_img.shape[1], nonempty=True)
-    kept_idx, report = _prune(e_img, img_sq, e_lang, grid, config)
+    e_img, e_lang, screen = _screened(e_img, e_lang)
+    kept_idx, report = _prune(e_img, e_lang, screen, grid, config)
     return e_img[kept_idx], kept_idx, report
 
 
@@ -158,8 +157,8 @@ def merge_stage(hidden, guidance, visual_range, config: CompressionConfig):
     outside ``hidden``, and guidance with no rows or another width than
     ``hidden``, raise ShapeError.
     """
-    hidden, _ = _tokens(hidden, "hidden")
-    guidance, _ = _tokens(guidance, "guidance", hidden.shape[1], nonempty=True)
+    hidden = _tokens(hidden, "hidden")
+    guidance = _tokens(guidance, "guidance", hidden.shape[1], nonempty=True)
     start, stop = _visual_span(visual_range, hidden.shape[0])
     n = min(stop - start, config.merge.m)
     out = np.empty((hidden.shape[0] - (stop - start) + n, hidden.shape[1]), dtype=np.float32)
@@ -178,12 +177,11 @@ def run_pipeline(e_img, e_lang, guidance, grid: PatchGrid, config: CompressionCo
     from there on. Language tokens or guidance with no rows or another width
     than ``e_img`` raise ShapeError (language first) before stage one runs.
     """
-    e_img, img_sq = _tokens(e_img, "e_img")
-    e_lang, _ = _tokens(e_lang, "e_lang", e_img.shape[1], nonempty=True)
-    guidance, _ = _tokens(guidance, "guidance", e_img.shape[1], nonempty=True)
+    e_img, e_lang, screen = _screened(e_img, e_lang)
+    guidance = _tokens(guidance, "guidance", e_img.shape[1], nonempty=True)
 
     t0 = time.perf_counter()
-    kept_idx, prune_rep = _prune(e_img, img_sq, e_lang, grid, config)
+    kept_idx, prune_rep = _prune(e_img, e_lang, screen, grid, config)
     t1 = time.perf_counter()
     n = min(prune_rep.kept, config.merge.m)
     compressed = np.empty((n + e_lang.shape[0] + guidance.shape[0], e_img.shape[1]), dtype=np.float32)

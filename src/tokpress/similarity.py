@@ -4,11 +4,11 @@ Anchors seed the stage-one mask: each language token votes for the image
 patch it is most similar to. The same machinery scores image tokens against
 an arbitrary guidance set to pick merge sources.
 
-Public functions check every input once, with ``core._tokens``, and call
-private kernels, which the pipeline stages call directly. Kernels do no
-checks of their own, apart from the grid row count of ``_anchor_mask``.
-Scores come from one float64 cosine formula; anchors are screened in
-float32 and decided in float64.
+Public functions check every input once, with ``core._tokens`` (or
+``_screened`` on the anchor path), and call private kernels, which the
+pipeline stages call directly. Kernels do no checks of their own, apart
+from the grid row count of ``_anchor_mask``. Scores come from one float64
+cosine formula; anchors are screened in float32 and decided in float64.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .core import (
     PatchGrid,
     ShapeError,
     _check_integer,
+    _finite,
+    _matrix,
     _tokens,
     index_set,
     sq_norms,
@@ -29,7 +31,7 @@ from .core import (
 
 _U32 = 2.0**-24  # float32 unit roundoff
 _SAFE_SQ = (2.0**-60, 2.0**60)  # float32 squared row norms the screen's bound covers
-_BLOCK = 2**15  # float64 values per upcast block of _relevance: 256 KB, so a block stays in cache
+_BLOCK = 2**18  # bytes per block of the blocked passes over rows: 256 KB, so a block stays in cache
 
 
 def _cosine(dots: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
@@ -39,29 +41,42 @@ def _cosine(dots: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
     return dots / np.outer(na, nb)
 
 
-def _argmax_cosine(lang: np.ndarray, img: np.ndarray, img_sq: np.ndarray) -> np.ndarray:
-    """Index of each language row's most cosine-similar image row (float32 squared norms img_sq); ties go low.
+def _screened(e_img, e_lang) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """e_img and e_lang checked as by ``_tokens`` (e_img's finiteness last) and the screen, in one pass."""
+    e_img = _matrix(e_img, "e_img")
+    e_lang = _tokens(e_lang, "e_lang", e_img.shape[1], nonempty=True)
+    scaled = np.ldexp(e_lang, -np.frexp(np.abs(e_lang).max(axis=1))[1][:, None])
+    n, step = e_img.shape[0], max(1, _BLOCK // (4 * e_img.shape[1]))
+    sq, dots = np.empty(n, np.float32), np.empty((n, scaled.shape[0]), np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, n, step):  # squared norms as batched 1 x d by d x 1 products, faster than einsum's
+            np.matmul(e_img[i : i + step, None], e_img[i : i + step, :, None], out=sq[i : i + step, None, None])
+            np.matmul(e_img[i : i + step], scaled.T, out=dots[i : i + step])
+    _finite(e_img, sq, "e_img")
+    return e_img, e_lang, (np.sqrt(sq_norms(scaled.astype(np.float64))), sq, dots)
 
-    The float32 screen scales language row l by an exact power of two to l'
-    (largest entry in [0.5, 1)) and scores image row x as s = fl(l'.x) / fl(|x|).
-    With x's float32 squared norm in ``_SAFE_SQ`` nothing overflows and
-    underflow is negligible, so |fl(l'.x) - l'.x| <= g|l'||x| and
-    |fl(|x|) - |x|| <= g|x|, g = (d+2)u / (1 - (d+2)u), in any summation order;
-    then |s - l'.x/|x|| <= E = |l'|(2g / (1 - g) + 2u), and for (d+2)u <= 1/16
-    the float64 argmax lies within 2E + (float64 error) <= (5d + 16)u|l'| of
-    the best s. Rows in that margin, and rows the bound does not cover, are
-    re-scored in float64, each in one fixed summation order.
+
+def _argmax_cosine(lang, img, scaled_norm, img_sq, dots) -> np.ndarray:
+    """Index of each language row's most cosine-similar image row; ties go low.
+
+    The screen scales language row l by an exact power of two to l' (largest entry in
+    [0.5, 1), norm ``scaled_norm``) and scores image row x as s = fl(l'.x) / fl(|x|) from
+    the float32 products ``dots`` and squared norms ``img_sq``. With x's float32 squared
+    norm in ``_SAFE_SQ`` nothing overflows and underflow is negligible, so |fl(l'.x) - l'.x|
+    <= g|l'||x| and |fl(|x|) - |x|| <= g|x|, g = (d+2)u / (1 - (d+2)u), in any summation
+    order; then |s - l'.x/|x|| <= E = |l'|(2g / (1 - g) + 2u), and for (d+2)u <= 1/16 the
+    float64 argmax lies within 2E + (float64 error) <= (5d + 16)u|l'| of the best s. Rows
+    in that margin, and rows the bound does not cover, are its candidates: a lone one is
+    taken, two or more are re-scored in float64, each in one fixed summation order.
     """
     d = img.shape[1]
-    _, exponent = np.frexp(np.abs(lang).max(axis=1))
-    scaled = np.ldexp(lang, -exponent[:, None])
     safe = (img_sq >= _SAFE_SQ[0]) & (img_sq <= _SAFE_SQ[1]) & ((d + 2) * _U32 <= 1 / 16)
-    with np.errstate(over="ignore", invalid="ignore"):
-        screen = (img @ scaled.T).T / np.sqrt(np.where(safe, img_sq, 1.0))
+    screen = dots.T / np.sqrt(np.where(safe, img_sq, 1.0))
     screen[:, ~safe] = -np.inf
-    margin = (5 * d + 16) * _U32 * np.sqrt(sq_norms(scaled.astype(np.float64)))
+    margin = (5 * d + 16) * _U32 * scaled_norm
     candidate = (screen >= (screen.max(axis=1) - margin)[:, None]) | ~safe
-
+    if (candidate.sum(axis=1) == 1).all():
+        return np.argmax(candidate, axis=1)
     cols = np.flatnonzero(candidate.any(axis=0))
     lang64, rows64 = lang.astype(np.float64), img[cols].astype(np.float64)
     sims = _cosine(np.einsum("kj,ij->ki", lang64, rows64), sq_norms(lang64), sq_norms(rows64))
@@ -69,12 +84,12 @@ def _argmax_cosine(lang: np.ndarray, img: np.ndarray, img_sq: np.ndarray) -> np.
     return cols[np.argmax(sims, axis=1)]
 
 
-def _anchor_mask(e_lang: np.ndarray, e_img: np.ndarray, img_sq: np.ndarray, grid: PatchGrid) -> BinaryMask:
+def _anchor_mask(e_img: np.ndarray, e_lang: np.ndarray, screen: tuple, grid: PatchGrid) -> BinaryMask:
     # the first step of stage one, and the one home of the grid row-count check
     if e_img.shape[0] != grid.total:
         raise ShapeError(f"e_img: {e_img.shape[0]} rows, grid expects {grid.total}")
     flat = np.zeros(grid.total, dtype=bool)
-    flat[_argmax_cosine(e_lang, e_img, img_sq)] = True
+    flat[_argmax_cosine(e_lang, e_img, *screen)] = True
     return BinaryMask(grid, flat.reshape(grid.shape))
 
 
@@ -87,14 +102,12 @@ def anchor_mask(e_lang, e_img, grid: PatchGrid) -> BinaryMask:
     float32 screen only narrows the rows that get scored, never the result.
     Argmax ties resolve to the lower token index.
     """
-    e_img, img_sq = _tokens(e_img, "e_img")
-    e_lang, _ = _tokens(e_lang, "e_lang", e_img.shape[1], nonempty=True)
-    return _anchor_mask(e_lang, e_img, img_sq, grid)
+    return _anchor_mask(*_screened(e_img, e_lang), grid)
 
 
 def _relevance(rows: np.ndarray, idx: np.ndarray, guides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # float32 scores of rows[idx] and their float64 squared norms, upcast a block at a time
-    guides, step = guides.astype(np.float64), max(1, _BLOCK // rows.shape[1])
+    guides, step = guides.astype(np.float64), max(1, _BLOCK // (8 * rows.shape[1]))
     dots, sq = np.empty((idx.size, guides.shape[0])), np.empty(idx.size)
     for i in range(0, idx.size, step):
         block = rows[idx[i : i + step]].astype(np.float64)
@@ -109,8 +122,8 @@ def relevance_scores(e_img, guides) -> np.ndarray:
     The max keeps scores robust to irrelevant guides. Similarities are
     computed in float64; returns float32, one score per image token.
     """
-    visual, _ = _tokens(e_img, "e_img", nonempty=True)
-    guides, _ = _tokens(guides, "guides", visual.shape[1], nonempty=True)
+    visual = _tokens(e_img, "e_img", nonempty=True)
+    guides = _tokens(guides, "guides", visual.shape[1], nonempty=True)
     return _relevance(visual, np.arange(visual.shape[0]), guides)[0]
 
 

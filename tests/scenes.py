@@ -9,8 +9,9 @@ drawn too.
 ``corrupt_scenes`` takes such a scene and corrupts one of its inputs, in
 one of the ways ``CORRUPTIONS`` lists. ``EDGE_SCENES`` are fixed scenes at
 the edges of what the pipeline accepts, for the property tests' explicit
-examples. ``BLOCK_EDGES`` are (width, row count) pairs around the block
-size of the relevance upcast. ``mask_of`` builds a mask from token indices.
+examples. ``BLOCK_EDGES`` and ``SCAN_EDGES`` are (width, row count) pairs
+around the block size of the relevance upcast and of the anchor screen's
+scan. ``mask_of`` builds a mask from token indices.
 """
 
 import dataclasses
@@ -61,13 +62,15 @@ def _edge_scenes():
 EDGE_SCENES = _edge_scenes()
 
 
-def _block_edges(d: int) -> list[tuple[int, int]]:
-    b = _BLOCK // d  # rows per upcast block
+def _block_edges(d: int, itemsize: int) -> list[tuple[int, int]]:
+    b = _BLOCK // (itemsize * d)  # rows per block
     return [(d, n) for n in (1, b - 1, b, b + 1, 3 * b + 5)]
 
 
-#: (d, rows) at d=64 and d=4096: 1, B - 1, B, B + 1 and 3B + 5 rows, B rows per upcast block
-BLOCK_EDGES = _block_edges(64) + _block_edges(4096)
+#: (d, rows) at d=64 and d=4096: 1, B - 1, B, B + 1 and 3B + 5 rows, B rows per float64 upcast block
+BLOCK_EDGES = _block_edges(64, 8) + _block_edges(4096, 8)
+#: the same around the float32 blocks of the anchor screen's scan over e_img
+SCAN_EDGES = _block_edges(64, 4) + _block_edges(4096, 4)
 
 
 def mask_of(grid, indices=()) -> BinaryMask:

@@ -1,0 +1,87 @@
+"""Outputs under two OpenBLAS kernels.
+
+Twenty default d=4096 scenes run through ``run_pipeline`` in two child
+processes, one on OpenBLAS's Haswell kernel and one on Prescott, one thread
+each. The kernels sum in different orders, so the soft fold's float32
+sums give merged rows that differ by rounding, and ``.tkb`` output is
+bitwise only for a fixed kernel. Every decision (anchors, keep sets and
+merge sources) and every copied row must still be equal. Each child reports
+the kernel OpenBLAS actually picked; the test skips when both picked the
+same one, since it would then compare a kernel with itself.
+"""
+
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import tokpress
+
+SCENES = 20
+CHILD = """
+import ctypes
+import sys
+import numpy as np
+from tokpress.core import PatchGrid
+from tokpress.pipeline import CompressionConfig, run_pipeline
+from tokpress.similarity import anchor_mask
+from tokpress.workload import WorkloadSpec, generate_workload
+out = {}
+for seed in range(int(sys.argv[2])):
+    load = generate_workload(WorkloadSpec(grid=PatchGrid(2, 16, 16), embed_dim=4096, seed=seed))
+    result = run_pipeline(load.e_img, load.e_lang, load.guidance, load.grid, CompressionConfig())
+    out[f"anchors{seed}"] = anchor_mask(load.e_lang, load.e_img, load.grid).bits
+    out[f"kept{seed}"] = result.kept_indices
+    out[f"sources{seed}"] = result.merge.source_indices
+    out[f"rows{seed}"] = result.compressed
+out["core"] = ""  # the kernel OpenBLAS picked, asked of the library numpy loaded; "" if it cannot be
+try:
+    with open("/proc/self/maps") as maps:
+        libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+except OSError:
+    libs = []
+for path in libs:
+    for name in ("openblas_get_corename", "openblas_get_corename64_", "scipy_openblas_get_corename64_"):
+        fn = getattr(ctypes.CDLL(path), name, None)
+        if fn is not None and not out["core"]:
+            fn.restype = ctypes.c_char_p
+            out["core"] = fn().decode()
+np.savez(sys.argv[1], **out)
+"""
+
+
+def blas_name() -> str:
+    config = getattr(np.__config__, "CONFIG", {})
+    return config.get("Build Dependencies", {}).get("blas", {}).get("name", "")
+
+
+def run_on(core: str, path: Path):
+    env = dict(os.environ)
+    env.update(OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(tokpress.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    child = subprocess.run([sys.executable, "-c", CHILD, str(path), str(SCENES)], env=env, timeout=300)
+    if child.returncode == -signal.SIGILL:
+        pytest.skip(f"this CPU cannot run OpenBLAS's {core} kernel")
+    child.check_returncode()
+    return np.load(path)
+
+
+@pytest.mark.skipif("openblas" not in blas_name().lower(), reason="numpy is not linked to OpenBLAS")
+def test_decisions_equal_and_rows_within_sqrt_d_ulps_on_haswell_and_prescott(tmp_path):
+    a, b = (run_on(core, tmp_path / f"{core}.npz") for core in ("Haswell", "Prescott"))
+    cores = str(a["core"]), str(b["core"])
+    if "" in cores or cores[0] == cores[1]:
+        pytest.skip(f"OpenBLAS reported the kernels {cores}, not two different ones")
+    for seed in range(SCENES):
+        for key in ("anchors", "kept", "sources"):
+            assert np.array_equal(a[f"{key}{seed}"], b[f"{key}{seed}"]), (key, seed)
+        x, y, n = a[f"rows{seed}"], b[f"rows{seed}"], a[f"sources{seed}"].size
+        assert x.shape == y.shape and x.dtype == y.dtype == np.float32
+        assert x[n:].tobytes() == y[n:].tobytes()  # language and guidance rows are copies
+        # a float32 sum of d terms, ordered two ways, differs by about sqrt(d) ulps of its scale
+        ulp = np.spacing(np.maximum(np.abs(x[:n]), np.abs(y[:n])).max(axis=1))
+        assert (np.abs(x[:n].astype(np.float64) - y[:n]).max(axis=1) <= np.sqrt(4096) * ulp).all(), seed

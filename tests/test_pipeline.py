@@ -1,3 +1,5 @@
+import ast
+import inspect
 import re
 import sys
 import threading
@@ -8,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 
 import oracles
-from scenes import BLOCK_EDGES, EDGE_SCENES, small_scenes
-from tokpress import core, pipeline
+from scenes import BLOCK_EDGES, EDGE_SCENES, SCAN_EDGES, small_scenes
+from tokpress import core, pipeline, similarity
 from tokpress.core import ParameterError, PatchGrid, RngState, ShapeError
 from tokpress.expand import ExpandParams
 from tokpress.merge import MergeParams
@@ -41,6 +43,10 @@ def stage_one(*args):
 
 def wide(rows, width=10):
     return np.ones((rows, width), dtype=np.float32)
+
+
+def rand_rows(rows, width, seed):
+    return np.random.default_rng(seed).standard_normal((rows, width)).astype(np.float32)
 
 
 class TestConfig:
@@ -160,7 +166,7 @@ class TestPruneStage:
 
 
 class TestImageNormsFromValidation:
-    """e_img is read once for its finiteness check and the anchor screen's norms."""
+    """e_img is read once, a block of rows at a time, for its finiteness check and the anchor screen."""
 
     def test_row_whose_float32_norm_overflows_is_accepted_and_anchored(self):
         load = load_2view(16)
@@ -179,26 +185,40 @@ class TestImageNormsFromValidation:
         assert result.kept_indices.tolist() == want and result.prune.anchors == len(anchor)
         assert np.isfinite(result.compressed).all()
 
-    @pytest.mark.parametrize("stage", ["prune_stage", "run_pipeline"])
+    @pytest.mark.parametrize("stage", ["anchor_mask", "prune_stage", "run_pipeline"])
     def test_image_read_once_for_validation_and_anchor_norms(self, monkeypatch, stage):
-        load = load_2view(16)
-        seen = {"sq_norms": [], "isfinite": []}
+        # every einsum (how sq_norms reads) or matmul (how the scan takes norms and products)
+        # that reads e_img's memory takes one block of its rows: each block by two matmuls in a
+        # row, its norms and its screen products, and the blocks in order take each row once;
+        # finiteness is decided from those norms, so isfinite never reads a clean e_img
+        load = generate_workload(WorkloadSpec(grid=PatchGrid(2, 16, 16), embed_dim=4096, seed=16))
+        e_img, step = load.e_img, similarity._BLOCK // (4 * 4096)
+        reads = []
 
         def counted(name, fn):
-            def wrapper(rows, *args, **kwargs):
-                seen[name].append(rows)
-                return fn(rows, *args, **kwargs)
+            def wrapper(*args, **kwargs):
+                rows = [a for a in args if isinstance(a, np.ndarray) and np.shares_memory(a, e_img)]
+                if rows:
+                    reads.append((name, (rows[0].ctypes.data - e_img.ctypes.data) // e_img.strides[0], len(rows[0])))
+                return fn(*args, **kwargs)
 
             return wrapper
 
-        original = core.sq_norms
-        for modname, mod in list(sys.modules.items()):
-            if modname.startswith("tokpress") and vars(mod).get("sq_norms") is original:
-                monkeypatch.setattr(mod, "sq_norms", counted("sq_norms", original))
-        monkeypatch.setattr(np, "isfinite", counted("isfinite", np.isfinite))
-        args = (load.e_lang, load.guidance) if stage == "run_pipeline" else (load.e_lang,)
-        getattr(pipeline, stage)(load.e_img, *args, load.grid, goal_long())
-        assert [sum(rows is load.e_img for rows in calls) for calls in seen.values()] == [1, 0]
+        for name in ("einsum", "matmul", "isfinite"):
+            monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+        if stage == "anchor_mask":
+            anchor_mask(load.e_lang, e_img, load.grid)
+        else:
+            args = (load.e_lang, load.guidance) if stage == "run_pipeline" else (load.e_lang,)
+            getattr(pipeline, stage)(e_img, *args, load.grid, goal_long())
+        assert reads == [("matmul", start, step) for start in range(0, 512, step) for _ in range(2)]
+
+    def test_no_product_operator_where_e_img_is_read(self):
+        # a product written with @ reads its operands without a call the test above could
+        # see, so the modules that handle e_img write none
+        for mod in (core, similarity, pipeline):
+            tree = ast.parse(inspect.getsource(mod))
+            assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree)), mod.__name__
 
     def test_threads_never_take_each_others_norms(self):
         # guards against shared state coming back: validation hands e_img's norms to the
@@ -241,6 +261,66 @@ class TestImageNormsFromValidation:
         args = (load.e_lang, load.guidance) if stage == "run_pipeline" else (load.e_lang,)
         with pytest.raises(ParameterError, match="^e_img: non-finite values are not allowed$"):
             getattr(pipeline, stage)(e_img, *args, load.grid, goal_long())
+
+    @pytest.mark.parametrize("stage", ["anchor_mask", "prune_stage", "run_pipeline"])
+    def test_language_error_comes_before_a_non_finite_image(self, monkeypatch, stage):
+        # e_lang is checked before the scan whose norms the e_img finiteness check reads
+        monkeypatch.setattr(pipeline, "_prune", stage_one)
+        load = load_2view(16)
+        e_img = load.e_img.copy()
+        e_img[200] = np.nan
+        with pytest.raises(ShapeError, match="^e_lang: embedding width 10, expected 64$"):
+            if stage == "anchor_mask":
+                anchor_mask(wide(3), e_img, load.grid)
+            else:
+                args = (wide(3), load.guidance) if stage == "run_pipeline" else (wide(3),)
+                getattr(pipeline, stage)(e_img, *args, load.grid, goal_long())
+
+    def test_non_finite_image_comes_before_a_guidance_error(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_prune", stage_one)
+        load = load_2view(16)
+        e_img = load.e_img.copy()
+        e_img[200] = np.nan
+        with pytest.raises(ParameterError, match="^e_img: non-finite values are not allowed$"):
+            run_pipeline(e_img, load.e_lang, wide(3), load.grid, goal_long())
+
+
+class TestBlockedScan:
+    """The scan over e_img, on and around its block edges (``SCAN_EDGES``)."""
+
+    @staticmethod
+    def scene(d, n):
+        # language rows near the first and last row of each of the first two blocks and
+        # near the last row, and one random row
+        e_img, b = rand_rows(n, d, n), similarity._BLOCK // (4 * d)
+        near = sorted({r for r in (0, b - 1, b, 2 * b - 1, n - 1) if r < n})
+        e_lang = np.vstack([e_img[near] + 0.3 * rand_rows(len(near), d, d), rand_rows(1, d, n + d)])
+        return e_img, e_lang, PatchGrid(1, 1, n)
+
+    @pytest.mark.parametrize("d,n", SCAN_EDGES)
+    def test_anchors_match_oracle(self, d, n):
+        e_img, e_lang, grid = self.scene(d, n)
+        got = anchor_mask(e_lang, e_img, grid).token_indices().tolist()
+        assert set(got) == oracles.anchor_cells(e_lang, e_img)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("d,n", SCAN_EDGES)
+    def test_non_finite_in_last_block_rejected_before_stage_one(self, monkeypatch, d, n, bad):
+        monkeypatch.setattr(pipeline, "_prune", stage_one)
+        e_img, e_lang, grid = self.scene(d, n)
+        e_img[-1, d // 2] = bad
+        with pytest.raises(ParameterError, match="^e_img: non-finite values are not allowed$"):
+            prune_stage(e_img, e_lang, grid, goal_long())
+
+    @pytest.mark.parametrize("d,n", SCAN_EDGES)
+    def test_overflowing_norm_in_last_block_is_accepted_and_anchored(self, d, n):
+        e_img, e_lang, grid = self.scene(d, n)
+        e_img[-1] = np.ldexp(e_lang[-1], 68)
+        assert np.isfinite(e_img).all() and np.isinf(core.sq_norms(e_img[-1:])).all()
+        got = anchor_mask(e_lang, e_img, grid).token_indices().tolist()
+        assert n - 1 in got and set(got) == oracles.anchor_cells(e_lang, e_img)
+        _, idx, rep = prune_stage(e_img, e_lang, grid, goal_long(context_fraction=0.0))
+        assert rep.anchors == len(got) and n - 1 in idx
 
 
 class TestMergeStage:
@@ -487,33 +567,37 @@ class TestRunPipeline:
 
 
 class TestCheckedOnce:
-    """Each public call turns each of its token inputs into a matrix exactly once."""
+    """Each public call turns each of its token inputs into a matrix, and checks it is finite, exactly once.
+
+    e_img's finiteness is checked from the anchor screen's scan, after e_lang's checks.
+    """
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        names = []
-        original = core._tokens
+        calls = {"_matrix": [], "_finite": []}
+        for fname, names in calls.items():
+            original = getattr(core, fname)
 
-        def counted(data, name, *args, **kwargs):
-            names.append(name)
-            return original(data, name, *args, **kwargs)
+            def counted(*args, _names=names, _original=original):
+                _names.append(args[-1])  # the input's name comes last
+                return _original(*args)
 
-        for modname, mod in list(sys.modules.items()):
-            if modname.startswith("tokpress") and vars(mod).get("_tokens") is original:
-                monkeypatch.setattr(mod, "_tokens", counted)
-        return names
+            for modname, mod in list(sys.modules.items()):
+                if modname.startswith("tokpress") and vars(mod).get(fname) is original:
+                    monkeypatch.setattr(mod, fname, counted)
+        return calls
 
     def test_run_pipeline(self, calls):
         load = load_2view(16)
         run_pipeline(load.e_img, load.e_lang, load.guidance, load.grid, goal_long())
-        assert calls == ["e_img", "e_lang", "guidance"]
+        assert calls == {"_matrix": ["e_img", "e_lang", "guidance"], "_finite": ["e_lang", "e_img", "guidance"]}
 
     def test_prune_stage(self, calls):
         load = load_2view(16)
         prune_stage(load.e_img, load.e_lang, load.grid, goal_long())
-        assert calls == ["e_img", "e_lang"]
+        assert calls == {"_matrix": ["e_img", "e_lang"], "_finite": ["e_lang", "e_img"]}
 
     def test_merge_stage(self, calls):
         load = load_2view(16)
         merge_stage(load.e_img[:100], load.guidance, (0, 100), goal_long())
-        assert calls == ["hidden", "guidance"]
+        assert calls == {"_matrix": ["hidden", "guidance"], "_finite": ["hidden", "guidance"]}

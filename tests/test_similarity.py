@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 import oracles
 from scenes import BLOCK_EDGES
+from tokpress import similarity
 from tokpress.core import GridRangeError, ParameterError, PatchGrid, ShapeError, sq_norms
 from tokpress.similarity import _cosine, anchor_mask, relevance_scores, top_m
+from tokpress.workload import WorkloadSpec, generate_workload
 
 
 def rand(shape, seed):
@@ -187,6 +189,59 @@ class TestScreenedArgmax:
         e_img *= np.float32(10.0) ** gen.choice([-30, 0, 20], size=(n, 1)).astype(np.float32)
         got = anchor_mask(e_lang, e_img, grid)
         assert set(got.token_indices().tolist()) == oracles.anchor_cells(e_lang, e_img)
+
+
+class TestLoneCandidate:
+    """A language row with one screen candidate takes it; two or more are re-scored in float64."""
+
+    @pytest.fixture()
+    def rescored(self, monkeypatch):
+        # anchor_mask reaches the float64 cosine only through the re-scoring
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return _cosine(*args)
+
+        monkeypatch.setattr(similarity, "_cosine", counted)
+        return calls
+
+    @staticmethod
+    def default_scene():
+        return generate_workload(WorkloadSpec(grid=PatchGrid(2, 16, 16)))
+
+    def test_default_scene_is_never_rescored(self, rescored):
+        load = self.default_scene()
+        got = anchor_mask(load.e_lang, load.e_img, load.grid).token_indices().tolist()
+        assert set(got) == oracles.anchor_cells(load.e_lang, load.e_img)
+        assert rescored == []
+
+    def test_higher_index_duplicate_of_an_anchor_is_rescored_and_the_lower_wins(self, rescored):
+        load = self.default_scene()
+        anchors = anchor_mask(load.e_lang, load.e_img, load.grid).token_indices()
+        copy = max(set(range(load.grid.total)) - set(anchors.tolist()))
+        e_img = load.e_img.copy()
+        e_img[copy] = e_img[anchors[0]]
+        rescored.clear()
+        got = anchor_mask(load.e_lang, e_img, load.grid).token_indices()
+        assert got.tolist() == anchors.tolist()
+        assert set(got.tolist()) == oracles.anchor_cells(load.e_lang, e_img)
+        assert len(rescored) == 1
+
+    def test_zero_image_row_matches_oracle(self, rescored):
+        # a zero row is outside the screen's bound, so it is always a candidate
+        load = self.default_scene()
+        e_img = load.e_img.copy()
+        e_img[5] = 0.0
+        got = anchor_mask(load.e_lang, e_img, load.grid).token_indices().tolist()
+        assert set(got) == oracles.anchor_cells(load.e_lang, e_img)
+        assert len(rescored) == 1
+
+    def test_one_image_row_matches_oracle(self, rescored):
+        e_img, e_lang = rand((1, 16), 40), rand((3, 16), 41)
+        got = anchor_mask(e_lang, e_img, PatchGrid(1, 1, 1)).token_indices().tolist()
+        assert set(got) == oracles.anchor_cells(e_lang, e_img) == {0}
+        assert rescored == []
 
 
 class TestRelevanceScores:
