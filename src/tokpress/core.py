@@ -80,8 +80,14 @@ def sq_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def index_set(indices, *, limit: int | None = None, name: str = "indices") -> np.ndarray:
-    """Sorted unique int64 token indices, checked against ``limit`` when given."""
-    arr = np.unique(np.asarray(indices, dtype=np.int64))
+    """Sorted unique int64 token indices, checked against ``limit`` when given.
+
+    Floats and boolean masks are refused, not truncated or read as indices; ``[]`` (float64) is empty.
+    """
+    arr = np.asarray(indices)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ParameterError(f"{name}: indices must be integers, got dtype {arr.dtype}")
+    arr = np.unique(arr.astype(np.int64, copy=False))
     if arr.size:
         if arr[0] < 0:
             raise GridRangeError(f"{name}: negative index {arr[0]}")
@@ -183,6 +189,8 @@ class RngState:
 
     def values(self, start: int, count: int) -> np.ndarray:
         """Draws at counters ``start .. start + count - 1`` as uint64."""
+        _check_integer(start, "start")
+        _check_integer(count, "count")
         if start < 0 or count < 0:
             raise ParameterError("counter start and count must be non-negative")
         return self._draws(np.arange(count, dtype=np.uint64) + np.uint64(start))
@@ -195,6 +203,7 @@ class RngState:
         loop practically never exhausts (acceptance probability per attempt
         exceeds 1 - n / 2**64).
         """
+        _check_integer(n, "n")
         if n <= 0:
             raise ParameterError("uniform_index needs n >= 1")
         words = self.values(counter_base, self.DRAW_SLOTS).tolist()
@@ -247,6 +256,8 @@ class CounterStream:
 
     def sample(self, n: int, k: int) -> np.ndarray:
         """k distinct integers from range(n), partial Fisher-Yates order."""
+        _check_integer(n, "n")
+        _check_integer(k, "k")
         if not 0 <= k <= n:
             raise ParameterError(f"cannot sample {k} of {n}")
         pool = np.arange(n, dtype=np.int64)

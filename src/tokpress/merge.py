@@ -29,6 +29,8 @@ MODES = ("soft", "hard")
 #: the merge oracle in tests/oracles.py uses the same value
 EPSILON = 1e-6
 _CLAMP_ROWS = 16  # rows per block of the soft fold's hull clamp, so a block's bounds stay in cache
+#: squared magnitude past which a float32 product may overflow (float32 tops out near 2**128)
+_OVERFLOW_SQ = 2.0**254
 
 
 @dataclass(frozen=True)
@@ -112,21 +114,26 @@ def _fold(sources, s_sq, targets, t_sq, mode: str, out: np.ndarray) -> np.ndarra
     """Write the merged sources into the float32 ``out`` and return the weight each absorbed.
 
     Hard mode folds float64 copies of the rows, since one flipped argmax would move a whole
-    target; soft mode folds the float32 rows and then clamps them into the hull.
+    target. Soft mode folds the float32 rows and then clamps them into the hull; it too takes
+    float64 copies when a float32 dot product or weighted sum could overflow, which the
+    squared norms bound: |t.s|^2 <= |s|^2 |t|^2 and |sum_i w_i t_i|^2 <= n_t^2 max |t|^2.
     """
-    if targets.shape[0] == 0:
+    n_t = targets.shape[0]
+    if n_t == 0:
         out[...] = sources
         return np.zeros(sources.shape[0])
-    if mode == "hard":
+    wide = mode == "hard" or max(s_sq.max(), n_t * n_t) * t_sq.max() >= _OVERFLOW_SQ
+    if wide:
         sources, targets = sources.astype(np.float64), targets.astype(np.float64)
     w = match_weights(_logits(sources, s_sq, targets, t_sq), mode)
     absorbed = w.sum(axis=0)
-    merged = out if mode == "soft" else np.empty(sources.shape)
+    merged = np.empty(sources.shape) if wide else out
     np.matmul(w.astype(merged.dtype, copy=False).T, targets, out=merged)
     merged += sources
     merged /= (1.0 + absorbed).astype(merged.dtype)[:, None]
-    if mode == "hard":
+    if wide:
         out[...] = merged
+    if mode == "hard":
         return absorbed
     t_min, t_max = targets.min(axis=0), targets.max(axis=0)
     for i in range(0, out.shape[0], _CLAMP_ROWS):

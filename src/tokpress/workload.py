@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BinaryMask, CounterStream, ParameterError, PatchGrid, RngState, _check_integer
+from .similarity import _BLOCK
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,9 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         lo, hi = self.block_size
         _check_integer(self.blocks, "blocks")
+        _check_integer(self.embed_dim, "embed_dim")
+        for side in (lo, hi):
+            _check_integer(side, "block_size")
         if self.blocks < 0:
             raise ParameterError("blocks must be >= 0")
         if not 1 <= lo <= hi:
@@ -114,14 +118,20 @@ def generate_workload(spec: WorkloadSpec) -> Workload:
     c_lo = max(0.9, math.sqrt(spec.margin) + 0.02)
     c = c_lo + (0.98 - c_lo) * stream.uniforms(n_fg)
 
-    e_img = np.empty((grid.total, spec.embed_dim), dtype=np.float64)
+    # rows are built in float64 and rounded once, on assignment into the float32 matrix
+    e_img = np.empty((grid.total, spec.embed_dim), dtype=np.float32)
     e_img[fg_cells] = c[:, None] * base + np.sqrt(1.0 - c * c)[:, None] * fg_residuals.T
 
     bg_cells = np.setdiff1d(np.arange(grid.total, dtype=np.int64), fg_cells, assume_unique=True)
     coeffs = stream.normals(bg_cells.size * bg_dim).reshape(bg_cells.size, bg_dim)
     bg = coeffs @ bg_basis.T
-    e_img[bg_cells] = bg / np.maximum(np.linalg.norm(bg, axis=1, keepdims=True), 1e-30)
-    e_img = e_img.astype(np.float32)
+    # unit rows, a cache-sized block at a time; the row sums are np.linalg.norm's own
+    # reduction, so the bits match it
+    step = max(1, _BLOCK // (8 * spec.embed_dim))
+    for i in range(0, bg.shape[0], step):
+        blk = bg[i : i + step]
+        norm = np.sqrt(np.add.reduce(blk * blk, axis=1, keepdims=True))
+        e_img[bg_cells[i : i + step]] = blk / np.maximum(norm, 1e-30)
 
     if n_fg:
         n_anchor = max(1, math.floor(spec.anchor_fraction * n_fg))

@@ -5,7 +5,8 @@ vectorized shortcuts the package uses, so a bug in the implementation and a
 bug in the oracle would have to coincide to slip through. The expansion
 oracle shares the package's keyed rng draw convention (that convention is
 part of the documented contract); all the arithmetic around it is
-independent.
+independent. The scene generator is the exception: its reference is the
+first float64 version kept verbatim, since the contract there is bytes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import math
 
 import numpy as np
 
-from tokpress.core import RngState
+from tokpress.core import BinaryMask, CounterStream, RngState
+from tokpress.workload import Workload, WorkloadSpec
 
 
 def density_counts(bits: np.ndarray, k: int) -> np.ndarray:
@@ -187,3 +189,64 @@ def layer_flops_terms(n: int, d: int, d_ff: int) -> int:
     attention = 2 * (2 * n * n * d)
     feed_forward = 2 * (2 * n * d * d_ff)
     return qkv_and_out + attention + feed_forward
+
+
+def _orthonormal_columns(stream: CounterStream, dim: int, n_cols: int) -> np.ndarray:
+    g = stream.normals(dim * n_cols).reshape(dim, n_cols)
+    q, r = np.linalg.qr(g)
+    # canonical signs; QR is only unique up to column flips
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return q * signs
+
+
+def generate_workload(spec: WorkloadSpec) -> Workload:
+    """The scene generator as first written, float64 throughout, kept verbatim.
+
+    The package's generator must match it byte for byte on the same BLAS kernel.
+    """
+    grid = spec.grid
+    stream = CounterStream(RngState(spec.seed))
+    lo, hi = spec.block_size
+
+    bits = np.zeros(grid.shape, dtype=bool)
+    for _ in range(spec.blocks):
+        r = lo + stream.below(hi - lo + 1)
+        v = stream.below(grid.views)
+        top = stream.below(grid.height - r + 1)
+        left = stream.below(grid.width - r + 1)
+        bits[v, top : top + r, left : left + r] = True
+    truth = BinaryMask(grid, bits)
+
+    fg_cells = truth.token_indices()
+    n_fg = int(fg_cells.size)
+    bg_dim = min(16, spec.embed_dim - 1 - n_fg)
+    basis = _orthonormal_columns(stream, spec.embed_dim, 1 + n_fg + bg_dim)
+    base = basis[:, 0]
+    fg_residuals = basis[:, 1 : 1 + n_fg]
+    bg_basis = basis[:, 1 + n_fg :]
+
+    # foreground cosine band [c_lo, 0.98]: c_lo^2 certifies the margin
+    # against an exactly-orthogonal background
+    c_lo = max(0.9, math.sqrt(spec.margin) + 0.02)
+    c = c_lo + (0.98 - c_lo) * stream.uniforms(n_fg)
+
+    e_img = np.empty((grid.total, spec.embed_dim), dtype=np.float64)
+    e_img[fg_cells] = c[:, None] * base + np.sqrt(1.0 - c * c)[:, None] * fg_residuals.T
+
+    bg_cells = np.setdiff1d(np.arange(grid.total, dtype=np.int64), fg_cells, assume_unique=True)
+    coeffs = stream.normals(bg_cells.size * bg_dim).reshape(bg_cells.size, bg_dim)
+    bg = coeffs @ bg_basis.T
+    e_img[bg_cells] = bg / np.maximum(np.linalg.norm(bg, axis=1, keepdims=True), 1e-30)
+    e_img = e_img.astype(np.float32)
+
+    if n_fg:
+        n_anchor = max(1, math.floor(spec.anchor_fraction * n_fg))
+        anchor_cells = fg_cells[np.sort(stream.sample(n_fg, n_anchor))]
+        e_lang = e_img[anchor_cells].copy()
+    else:
+        anchor_cells = np.empty(0, dtype=np.int64)
+        e_lang = base[None, :].astype(np.float32)
+
+    guidance = np.vstack([e_lang, base[None, :].astype(np.float32)])
+    return Workload(e_img, e_lang, guidance, grid, truth, anchor_cells)

@@ -66,6 +66,15 @@ class TestIndexSet:
     def test_empty(self):
         assert index_set([]).size == 0
 
+    @pytest.mark.parametrize("bad", [[1.5, 2.7], [1.0, 2.0], np.array([True, False, True])])
+    def test_non_integer_dtype_rejected(self, bad):
+        with pytest.raises(ParameterError, match="^context: indices must be integers"):
+            index_set(bad, name="context")
+
+    def test_integer_dtypes_accepted(self):
+        assert index_set(np.array([3, 1], dtype=np.uint8)).tolist() == [1, 3]
+        assert index_set(np.array([2, 0], dtype=np.int32)).dtype == np.int64
+
 
 class TestPatchGrid:
     def test_degenerate_dims_rejected(self):
@@ -175,6 +184,19 @@ class TestRngState:
         with pytest.raises(ParameterError):
             RngState(0).uniform_index(0, 0)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True])
+    def test_uniform_index_non_integer_n_rejected(self, n):
+        with pytest.raises(ParameterError, match="^n must be an integer"):
+            RngState(0).uniform_index(0, n)
+
+    @pytest.mark.parametrize("start, count, name", [(0, 2.5, "count"), (1.5, 2, "start"), (0, True, "count")])
+    def test_values_non_integer_rejected(self, start, count, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+            RngState(1).values(start, count)
+
+    def test_values_numpy_integers_accepted(self):
+        assert np.array_equal(RngState(1).values(np.int64(3), np.uint8(4)), RngState(1).values(3, 4))
+
     def test_draws_match_integer_splitmix64(self):
         # the standard splitmix64 stream for seed 0 starts e220a839..., 6e789e6a...
         assert RngState(0).values(0, 2).tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
@@ -220,6 +242,16 @@ class TestCounterStream:
     def test_sample_invalid(self):
         with pytest.raises(ParameterError):
             CounterStream(RngState(0)).sample(3, 4)
+
+    @pytest.mark.parametrize("n, k, name", [(3.0, 1, "n"), (3, 1.0, "k"), (True, 1, "n"), (3, False, "k")])
+    def test_sample_non_integer_rejected(self, n, k, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+            CounterStream(RngState(0)).sample(n, k)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True])
+    def test_below_non_integer_rejected(self, n):
+        with pytest.raises(ParameterError, match="^n must be an integer"):
+            CounterStream(RngState(0)).below(n)
 
     def test_stream_is_deterministic(self):
         a = CounterStream(RngState(42))

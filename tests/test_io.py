@@ -234,6 +234,10 @@ class TestWorkload:
             dict(blocks=-1),
             dict(blocks=1.5),
             dict(blocks=True),
+            dict(block_size=(2.5, 3)),
+            dict(block_size=(2, 3.0)),
+            dict(block_size=(True, 3)),
+            dict(embed_dim=64.0),
             dict(seed=1.5),
             dict(seed=2**64),
         ],
@@ -241,6 +245,29 @@ class TestWorkload:
     def test_infeasible_specs_rejected(self, bad):
         with pytest.raises(ParameterError):
             WorkloadSpec(grid=PatchGrid(1, 16, 16), **bad)
+
+    @pytest.mark.parametrize(
+        "grid, spec",
+        [
+            ((2, 16, 16), dict(embed_dim=4096, anchor_fraction=0.32)),
+            ((3, 24, 24), dict(blocks=4, block_size=(3, 5), embed_dim=128)),
+            ((2, 16, 16), dict(embed_dim=64)),
+            ((2, 16, 16), dict(embed_dim=256)),
+            ((1, 8, 8), dict(blocks=0, embed_dim=16)),
+            ((1, 1, 1), dict(block_size=(1, 1), embed_dim=4)),
+            ((1, 16, 16), dict(margin=0.87)),
+            ((1, 8, 12), dict(blocks=2, block_size=(2, 4), embed_dim=4096)),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_bytes_match_float64_reference(self, grid, spec, seed):
+        # against the reference run here, not stored digests: QR and GEMM bits follow the BLAS kernel
+        spec = WorkloadSpec(grid=PatchGrid(*grid), seed=seed, **spec)
+        got, want = generate_workload(spec), oracles.generate_workload(spec)
+        for part in ("e_img", "e_lang", "guidance", "anchor_cells"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), part
+        assert got.truth.bits.tobytes() == want.truth.bits.tobytes()
 
     def test_guidance_includes_language_rows(self):
         load = generate_workload(WorkloadSpec(grid=PatchGrid(1, 16, 16), seed=5))

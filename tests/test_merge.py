@@ -11,6 +11,7 @@ from tokpress.merge import (
     soft_bipartite_merge,
     split_source_target,
 )
+from tokpress.pipeline import CompressionConfig, merge_stage
 from tokpress.similarity import relevance_scores, top_m
 
 
@@ -191,6 +192,24 @@ class TestSoftMerge:
         want, _, s_vec = oracles.merge_steps(s, t)
         assert np.max(np.abs(merged.astype(np.float64) - want)) <= 1e-5
         assert np.allclose(rep.absorbed_weight, s_vec, atol=1e-8)
+
+    @pytest.mark.parametrize("scale", [1e20, 3e37])
+    def test_huge_finite_rows_fold_without_overflow(self, scale):
+        # float32 products of such rows overflow, so the fold must take float64 copies
+        s, t = rand((4, 8), 70, scale), rand((6, 8), 71, scale)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(t @ s.T).all()
+        merged, rep = soft_bipartite_merge(s, t, MergeParams(m=4))
+        hidden = np.vstack([t[:3], s, t[3:]])
+        out, stage = merge_stage(hidden, rand((2, 8), 72), (0, 10), CompressionConfig(merge=MergeParams(m=4)))
+        rest = np.setdiff1d(np.arange(10), stage.source_indices)
+        cases = [(merged, rep, s, t), (out, stage, hidden[stage.source_indices], hidden[rest])]
+        for got, report, src, tgt in cases:
+            want, _, s_vec = oracles.merge_steps(src, tgt)
+            assert np.isfinite(got).all() and np.isfinite(report.absorbed_weight).all()
+            assert abs(report.absorbed_weight.sum() - 6) < 1e-9
+            assert np.allclose(report.absorbed_weight, s_vec, atol=1e-8)
+            assert np.allclose(got, want, rtol=1e-6, atol=0)
 
     def test_hard_mode_one_hot_assignment(self):
         s, t = rand((4, 5), 20), rand((9, 5), 21)

@@ -66,6 +66,11 @@ class TestKeepSet:
         mask = mask_of(PatchGrid(1, 3, 3))
         assert keep_set(mask, []).size == 0
 
+    def test_boolean_context_rejected(self):
+        # a mask is not a list of indices: [True, False, True, False] must not read as {0, 1}
+        with pytest.raises(ParameterError, match="^context: indices must be integers"):
+            keep_set(mask_of(PatchGrid(1, 2, 2)), np.array([True, False, True, False]))
+
     def test_union_example(self):
         grid = PatchGrid(1, 3, 4)
         mask = mask_of(grid, [3, 7])
