@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BinaryMask, ParameterError, PatchGrid, RngState
+from .core import BinaryMask, ParameterError, PatchGrid, RngState, _check_integer
 from .costmodel import BackboneSpec, TokenSchedule, relative_flops, schedule_flops
 from .expand import ExpandParams, expand_mask
 from .merge import MergeParams
@@ -287,8 +287,7 @@ def _bench_target(stage: str, load: Workload, config: CompressionConfig):
 
 
 def _cmd_bench(args) -> list[str]:
-    if args.reps < 1:
-        raise ParameterError("bench needs at least one repetition")
+    _check_integer(args.reps, "reps", 1)
     config = load_config(args.config)
     load = generate_workload(WorkloadSpec(grid=parse_grid(args.grid)))
     target = _bench_target(args.stage, load, config)

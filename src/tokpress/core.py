@@ -12,6 +12,7 @@ by concatenating per-camera patch grids.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +30,26 @@ class GridRangeError(IndexError):
     """A coordinate or token index is outside its grid or sequence."""
 
 
-def _check_integer(value, name: str) -> None:
-    """Raise a ParameterError naming ``name`` unless ``value`` is a Python or numpy integer.
-
-    ``bool`` subclasses ``int`` but is no count, so it is rejected too.
-    """
+def _check_integer(value, name: str, low=None, high=None) -> int:
+    """``value`` as a Python int, which fixed-width numpy arithmetic cannot overflow; a ParameterError
+    naming ``name`` unless it is a Python or numpy integer in [low, high] (``bool`` is no count)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if (low is not None and value < low) or (high is not None and value > high):
+        _check_real(value, name, low, high)  # raises the one out-of-range message
+    return int(value)
+
+
+def _check_real(value, name: str, low=None, high=None, open_low: bool = False) -> None:
+    """Raise a ParameterError naming ``name`` unless ``value`` is a real number (not ``bool``) in
+    [low, high], or (low, high] if ``open_low``; a bound of None is open, and NaN is in no interval."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):  # ABC test last: slow
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    above = low is None or (value > low if open_low else value >= low)
+    if not (above and (high is None or value <= high)) or value != value:
+        left = "(-inf" if low is None else f"{'(' if open_low else '['}{low}"
+        right = "inf)" if high is None else f"{high}]"
+        raise ParameterError(f"{name} must lie in {left}, {right}, got {value!r}")
 
 
 def token_matrix(data, *, name: str = "tokens") -> np.ndarray:
@@ -49,7 +63,12 @@ def token_matrix(data, *, name: str = "tokens") -> np.ndarray:
 
 
 def _matrix(data, name: str) -> np.ndarray:
-    arr = np.ascontiguousarray(data, dtype=np.float32)
+    try:
+        if np.asarray(data).dtype.kind == "c":  # the float32 cast would drop the imaginary parts
+            raise TypeError("complex values")
+        arr = np.ascontiguousarray(data, dtype=np.float32)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{name}: values must be real numbers: {exc}") from None
     if arr.ndim != 2:
         raise ShapeError(f"{name}: expected a 2-D (tokens x dim) array, got shape {arr.shape}")
     if arr.shape[1] < 1:
@@ -106,9 +125,7 @@ class PatchGrid:
 
     def __post_init__(self) -> None:
         for axis in ("views", "height", "width"):
-            _check_integer(getattr(self, axis), f"PatchGrid.{axis}")
-            if getattr(self, axis) < 1:
-                raise ParameterError(f"PatchGrid.{axis} must be >= 1")
+            object.__setattr__(self, axis, _check_integer(getattr(self, axis), f"PatchGrid.{axis}", 1))
 
     @property
     def total(self) -> int:
@@ -175,9 +192,7 @@ class RngState:
     DRAW_SLOTS = 16
 
     def __post_init__(self) -> None:
-        _check_integer(self.seed, "seed")
-        if not 0 <= self.seed < 2**64:
-            raise ParameterError("seed must be an unsigned 64-bit integer")
+        _check_integer(self.seed, "seed", 0, 2**64 - 1)
 
     def _draws(self, counters: np.ndarray) -> np.ndarray:
         # the one copy of the splitmix64 arithmetic: draw t for each uint64 counter t
@@ -189,10 +204,8 @@ class RngState:
 
     def values(self, start: int, count: int) -> np.ndarray:
         """Draws at counters ``start .. start + count - 1`` as uint64."""
-        _check_integer(start, "start")
-        _check_integer(count, "count")
-        if start < 0 or count < 0:
-            raise ParameterError("counter start and count must be non-negative")
+        _check_integer(start, "start", 0)
+        _check_integer(count, "count", 0)
         return self._draws(np.arange(count, dtype=np.uint64) + np.uint64(start))
 
     def uniform_index(self, counter_base: int, n: int) -> int:
@@ -203,9 +216,7 @@ class RngState:
         loop practically never exhausts (acceptance probability per attempt
         exceeds 1 - n / 2**64).
         """
-        _check_integer(n, "n")
-        if n <= 0:
-            raise ParameterError("uniform_index needs n >= 1")
+        n = _check_integer(n, "n", 1)
         words = self.values(counter_base, self.DRAW_SLOTS).tolist()
         for w in words:
             if _accepts(w, n):
@@ -256,10 +267,8 @@ class CounterStream:
 
     def sample(self, n: int, k: int) -> np.ndarray:
         """k distinct integers from range(n), partial Fisher-Yates order."""
-        _check_integer(n, "n")
-        _check_integer(k, "k")
-        if not 0 <= k <= n:
-            raise ParameterError(f"cannot sample {k} of {n}")
+        _check_integer(n, "n", 0)
+        _check_integer(k, "k", 0, n)
         pool = np.arange(n, dtype=np.int64)
         for i in range(k):
             j = i + self.below(n - i)

@@ -32,9 +32,7 @@ class BackboneSpec:
 
     def __post_init__(self) -> None:
         for field in ("layers", "hidden_dim", "ff_dim", "heads"):
-            _check_integer(getattr(self, field), f"BackboneSpec.{field}")
-            if getattr(self, field) < 1:
-                raise ParameterError(f"BackboneSpec.{field} must be >= 1")
+            object.__setattr__(self, field, _check_integer(getattr(self, field), f"BackboneSpec.{field}", 1))
 
 
 #: 7B-class decoder dimensions, the scale the compression targets
@@ -58,10 +56,10 @@ class TokenSchedule:
             raise ShapeError("visual_counts must be a non-empty 1-D sequence")
         if counts.dtype.kind not in "iu":  # _check_integer for a whole array: no floats, no bools
             raise ParameterError(f"TokenSchedule.visual_counts must be integers, got dtype {counts.dtype}")
-        _check_integer(self.non_visual, "TokenSchedule.non_visual")
+        _check_integer(self.non_visual, "TokenSchedule.non_visual", 0)
         counts = counts.astype(np.int64)
-        if counts.min() < 0 or self.non_visual < 0:
-            raise ParameterError("token counts must be non-negative")
+        if counts.min() < 0:
+            raise ParameterError("TokenSchedule.visual_counts must be non-negative")
         if np.any(np.diff(counts) > 0):
             raise ParameterError("visual counts may only step down across layers")
         counts.setflags(write=False)
@@ -76,7 +74,7 @@ class TokenSchedule:
 
     @classmethod
     def flat(cls, visual: int, layers: int, non_visual: int = 0) -> "TokenSchedule":
-        _check_integer(layers, "layers")
+        _check_integer(layers, "layers", 0)  # 0 layers is the empty schedule's ShapeError
         return cls(np.full(layers, visual), non_visual)
 
     @classmethod
@@ -84,18 +82,14 @@ class TokenSchedule:
         cls, kept: int, merged: int, merge_layer: int, layers: int, non_visual: int = 0
     ) -> "TokenSchedule":
         """Kept count up to merge_layer, merged count from there on."""
-        _check_integer(merge_layer, "merge_layer")
-        _check_integer(layers, "layers")
-        if not 0 <= merge_layer < layers:
-            raise ParameterError(f"merge_layer {merge_layer} out of range [0, {layers})")
+        _check_integer(layers, "layers", 1)
+        _check_integer(merge_layer, "merge_layer", 0, layers - 1)
         return cls(np.repeat([kept, merged], [merge_layer, layers - merge_layer]), non_visual)
 
 
 def layer_flops(n: int, spec: BackboneSpec = DEFAULT_BACKBONE) -> int:
     """Flops of one layer at sequence length n (exact integer)."""
-    _check_integer(n, "n")
-    if n < 0:
-        raise ParameterError(f"token count must be >= 0, got {n}")
+    _check_integer(n, "n", 0)
     n, d, d_ff = int(n), spec.hidden_dim, spec.ff_dim
     return 8 * n * d * d + 4 * n * n * d + 4 * n * d * d_ff
 

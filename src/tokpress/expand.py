@@ -25,9 +25,9 @@ from .core import BinaryMask, ParameterError, RngState, _accepts, _check_integer
 
 
 def _check_kernel(kernel_size) -> None:
-    _check_integer(kernel_size, "kernel_size")
-    if kernel_size < 1 or kernel_size % 2 == 0:
-        raise ParameterError(f"kernel_size must be odd and >= 1, got {kernel_size}")
+    _check_integer(kernel_size, "kernel_size", 1)
+    if kernel_size % 2 == 0:
+        raise ParameterError(f"kernel_size must be odd, got {kernel_size}")
 
 
 def _window_counts(cells: np.ndarray, k: int) -> np.ndarray:
@@ -56,9 +56,7 @@ class ExpandParams:
 
     def __post_init__(self) -> None:
         _check_kernel(self.kernel_size)
-        _check_integer(self.threshold, "threshold")
-        if self.threshold < 0:
-            raise ParameterError(f"threshold must be >= 0, got {self.threshold}")
+        _check_integer(self.threshold, "threshold", 0)
 
 
 def density_map(mask: BinaryMask, kernel_size: int) -> np.ndarray:
@@ -70,7 +68,7 @@ def density_map(mask: BinaryMask, kernel_size: int) -> np.ndarray:
     the grid, with counts in [0, k*k].
     """
     _check_kernel(kernel_size)
-    counts = _window_counts(mask.bits, kernel_size)
+    counts = _window_counts(mask.bits, int(kernel_size))  # numpy's -k of an unsigned k wraps
     counts.setflags(write=False)
     return counts
 
@@ -103,7 +101,7 @@ def expand_mask(mask: BinaryMask, params: ExpandParams, rng: RngState) -> Binary
     flips bits of a flat list, so the per-cell work is a list scan.
     """
     grid = mask.grid
-    k, tau = params.kernel_size, params.threshold
+    k, tau = int(params.kernel_size), params.threshold
     counts = density_map(mask, k)
 
     out = mask.bits.copy()

@@ -41,9 +41,7 @@ class MergeParams:
     mode: str = "soft"
 
     def __post_init__(self) -> None:
-        _check_integer(self.m, "m")
-        if self.m < 1:
-            raise ParameterError(f"source-set size m must be >= 1, got {self.m}")
+        _check_integer(self.m, "m", 1)
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ParameterError, PatchGrid, RngState, ShapeError, _check_integer, _tokens
+from .core import ParameterError, PatchGrid, RngState, ShapeError, _check_integer, _check_real, _tokens
 from .costmodel import TokenSchedule
 from .expand import ExpandParams, expand_mask
 from .merge import MergeParams, MergeReport, _fold
@@ -45,16 +45,12 @@ class CompressionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.context_fraction <= 1.0:
-            raise ParameterError(f"context_fraction must lie in [0, 1], got {self.context_fraction}")
-        _check_integer(self.total_layers, "total_layers")
-        _check_integer(self.merge_layer, "merge_layer")
-        if self.total_layers < 1:
-            raise ParameterError("total_layers must be >= 1")
-        if not 0 <= self.merge_layer < self.total_layers:
-            raise ParameterError(
-                f"merge_layer {self.merge_layer} out of range [0, {self.total_layers})"
-            )
+        for name, kind in (("expand", ExpandParams), ("merge", MergeParams)):
+            if not isinstance(getattr(self, name), kind):
+                raise ParameterError(f"{name} must be {kind.__name__}, got {getattr(self, name)!r}")
+        _check_real(self.context_fraction, "context_fraction", 0, 1)
+        _check_integer(self.total_layers, "total_layers", 1)
+        _check_integer(self.merge_layer, "merge_layer", 0, self.total_layers - 1)
         RngState(self.seed)  # the one seed check
 
 
@@ -130,10 +126,11 @@ def _merge(rows, idx, guidance, config: CompressionConfig, out):
 
 def _visual_span(visual_range, rows: int) -> tuple[int, int]:
     # a step-1 range or a (start, stop) pair of integers, inside the sequence
-    if isinstance(visual_range, range) and visual_range.step == 1:
-        visual_range = (visual_range.start, visual_range.stop)
+    span = visual_range
+    if isinstance(span, range):  # a two-element range of another step is no span
+        span = (span.start, span.stop) if span.step == 1 else ()
     try:
-        start, stop = (operator.index(i) for i in visual_range)
+        start, stop = (operator.index(i) for i in span)
     except (TypeError, ValueError):
         raise ParameterError(
             f"visual_range: expected a (start, stop) pair of integers, got {visual_range!r}"

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .core import BinaryMask, ParameterError, _check_integer, index_set
+from .core import BinaryMask, _check_integer, _check_real, index_set
 
 
 def context_indices(n_tokens: int, fraction: float) -> np.ndarray:
@@ -16,11 +16,8 @@ def context_indices(n_tokens: int, fraction: float) -> np.ndarray:
     start at 0, are strictly increasing, and cover the sequence evenly.
     Deterministic, no rng involved.
     """
-    _check_integer(n_tokens, "n_tokens")
-    if n_tokens < 0:
-        raise ParameterError(f"n_tokens must be >= 0, got {n_tokens}")
-    if not 0.0 <= fraction <= 1.0:
-        raise ParameterError(f"context fraction must lie in [0, 1], got {fraction}")
+    _check_integer(n_tokens, "n_tokens", 0)
+    _check_real(fraction, "fraction", 0, 1)
     count = math.floor(fraction * n_tokens)
     if count == 0:
         return np.empty(0, dtype=np.int64)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinaryMask, CounterStream, ParameterError, PatchGrid, RngState, _check_integer
+from .core import BinaryMask, CounterStream, ParameterError, PatchGrid, RngState, _check_integer, _check_real
 from .similarity import _BLOCK
 
 
@@ -45,24 +45,21 @@ class WorkloadSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        lo, hi = self.block_size
-        _check_integer(self.blocks, "blocks")
+        blocks = _check_integer(self.blocks, "blocks", 0)
         _check_integer(self.embed_dim, "embed_dim")
-        for side in (lo, hi):
-            _check_integer(side, "block_size")
-        if self.blocks < 0:
-            raise ParameterError("blocks must be >= 0")
-        if not 1 <= lo <= hi:
-            raise ParameterError(f"block size range {self.block_size} is not 1 <= lo <= hi")
+        try:
+            lo, hi = self.block_size
+        except (TypeError, ValueError):
+            raise ParameterError(f"block_size must be a (lo, hi) pair, got {self.block_size!r}") from None
+        lo = _check_integer(lo, "block_size[0]", 1)
+        hi = _check_integer(hi, "block_size[1]", lo)
         if hi > min(self.grid.height, self.grid.width):
             raise ParameterError(f"blocks of size {hi} do not fit a {self.grid.height}x{self.grid.width} view")
-        if not 0.0 < self.margin <= 0.87:
-            # past 0.87 the foreground cosine band needed to certify the
-            # margin collapses; reject rather than silently weaken it
-            raise ParameterError(f"margin must lie in (0, 0.87], got {self.margin}")
-        if not 0.0 < self.anchor_fraction <= 1.0:
-            raise ParameterError("anchor_fraction must lie in (0, 1]")
-        max_fg = self.blocks * hi * hi
+        # past 0.87 the foreground cosine band needed to certify the margin
+        # collapses; reject rather than silently weaken it
+        _check_real(self.margin, "margin", 0, 0.87, open_low=True)
+        _check_real(self.anchor_fraction, "anchor_fraction", 0, 1, open_low=True)
+        max_fg = blocks * hi * hi
         if self.embed_dim < max_fg + 3:
             raise ParameterError(
                 f"embed_dim {self.embed_dim} too small for up to {max_fg} foreground cells"

@@ -17,6 +17,7 @@ from tokpress.core import (
     index_set,
     token_matrix,
 )
+from tokpress.similarity import relevance_scores
 
 grids = st.builds(
     PatchGrid,
@@ -44,6 +45,15 @@ class TestTokenMatrix:
     def test_rejects_non_finite(self, value):
         with pytest.raises(ParameterError):
             token_matrix([[1.0, value]])
+
+    @pytest.mark.parametrize(
+        "bad", [np.array([[1 + 2j, 3]]), [[1 + 2j, 3]], [[np.complex64(1), 3]], [["a"]], [[1.0, 2.0], [3.0]]]
+    )
+    def test_rejects_non_real_values_naming_input(self, bad):
+        with pytest.raises(ParameterError, match="^e_img: values must be real numbers"):
+            token_matrix(bad, name="e_img")
+        with pytest.raises(ParameterError, match="^e_img: values must be real numbers"):
+            relevance_scores(bad, [[1.0, 0.0]])
 
     def test_float32_view_not_copied(self):
         src = np.ones((2, 2), dtype=np.float32)
@@ -82,6 +92,10 @@ class TestPatchGrid:
             PatchGrid(0, 4, 4)
         with pytest.raises(ParameterError):
             PatchGrid(1, 4, 0)
+
+    def test_narrow_numpy_axes_do_not_wrap(self):
+        grid = PatchGrid(np.uint8(2), np.uint8(16), np.uint8(16))
+        assert grid.total == 512 and grid == PatchGrid(2, 16, 16)
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize("value", [2.0, 16.5, True, np.float64(4)])
@@ -238,6 +252,11 @@ class TestCounterStream:
     def test_sample_full_permutation(self):
         got = CounterStream(RngState(2)).sample(6, 6)
         assert sorted(got.tolist()) == list(range(6))
+
+    def test_sample_numpy_integers_match_python_ints(self):
+        got = CounterStream(RngState(3)).sample(np.int64(9), np.uint8(4))
+        assert got.tolist() == CounterStream(RngState(3)).sample(9, 4).tolist()
+        assert RngState(3).uniform_index(0, np.int32(7)) == RngState(3).uniform_index(0, 7)
 
     def test_sample_invalid(self):
         with pytest.raises(ParameterError):

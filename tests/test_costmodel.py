@@ -128,6 +128,10 @@ class TestScheduleFlops:
         want = layer_flops(260, small) + 3 * layer_flops(144, small)
         assert schedule_flops(s, small) == want
 
+    def test_narrow_numpy_dims_do_not_wrap(self):
+        spec = BackboneSpec(*(np.uint8(v) for v in (4, 64, 255, 8)))
+        assert layer_flops(100, spec) == layer_flops(100, BackboneSpec(4, 64, 255, 8))
+
     def test_zero_visual_rides_on_non_visual(self):
         s = TokenSchedule.flat(0, 4, 64)
         assert schedule_flops(s, small) == 4 * layer_flops(64, small)

@@ -209,6 +209,15 @@ class TestExpandMask:
             )
             assert np.array_equal(stacked.bits[v], alone.bits[0])
 
+    def test_unsigned_numpy_knobs_match_python_ints(self):
+        # numpy's -k and k * k wrap for a uint8 k, so the kernels must see a Python int
+        mask = mask_from_cells(PatchGrid(1, 9, 9), [(0, 1, 1), (0, 6, 6), (0, 6, 7)])
+        for k, tau in ((3, 2), (17, 1)):
+            want = expand_mask(mask, ExpandParams(k, tau), RngState(5))
+            got = expand_mask(mask, ExpandParams(np.uint8(k), np.uint8(tau)), RngState(5))
+            assert np.array_equal(got.bits, want.bits)
+            assert np.array_equal(density_map(mask, np.uint8(k)), density_map(mask, k))
+
     def test_sparse_flip_lands_in_window_and_matches_oracle(self):
         # lone seeds under tau=2 have F=1 in their window: sparse rule fires
         grid = PatchGrid(1, 9, 9)

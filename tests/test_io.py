@@ -240,11 +240,22 @@ class TestWorkload:
             dict(embed_dim=64.0),
             dict(seed=1.5),
             dict(seed=2**64),
+            dict(block_size=3),
+            dict(block_size=(2, 3, 4)),
+            dict(margin="0.5"),
+            dict(margin=float("nan")),
+            dict(anchor_fraction=None),
         ],
     )
     def test_infeasible_specs_rejected(self, bad):
         with pytest.raises(ParameterError):
             WorkloadSpec(grid=PatchGrid(1, 16, 16), **bad)
+
+    def test_block_size_list_accepted(self):
+        grid = PatchGrid(1, 16, 16)
+        got = generate_workload(WorkloadSpec(grid=grid, block_size=[2, 3], seed=4))
+        want = generate_workload(WorkloadSpec(grid=grid, block_size=(2, 3), seed=4))
+        assert got.e_img.tobytes() == want.e_img.tobytes()
 
     @pytest.mark.parametrize(
         "grid, spec",

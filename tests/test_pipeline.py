@@ -84,6 +84,13 @@ class TestConfig:
         with pytest.raises(ParameterError, match=f"^{field} must be an integer"):
             run_pipeline(load.e_img, load.e_lang, load.guidance, load.grid, build())
 
+    @pytest.mark.parametrize(
+        "field,value", [("expand", {"kernel_size": 3}), ("expand", MergeParams()), ("merge", None)]
+    )
+    def test_param_groups_take_their_own_type(self, field, value):
+        with pytest.raises(ParameterError, match=f"^{field} must be {field.capitalize()}Params, got "):
+            CompressionConfig(**{field: value})
+
     def test_numpy_integer_fields_match_python_ints(self):
         load = load_2view(4)
         as_numpy = CompressionConfig(
@@ -429,7 +436,7 @@ class TestMergeStage:
             merge_stage(load.e_img[:64], load.guidance, (0, 600), config)
         with pytest.raises(ShapeError, match=r"^visual_range: \[-1, 20\) outside sequence of 64 rows$"):
             merge_stage(load.e_img[:64], load.guidance, (-1, 20), config)
-        for bad in (range(0, 64, 2), (1, 2, 3), 5, (0.5, 10), (0,), None):
+        for bad in (range(0, 64, 2), range(0, 6, 3), range(1, 5, 3), (1, 2, 3), 5, (0.5, 10), (0,), None):
             message = f"^visual_range: expected a \\(start, stop\\) pair of integers, got {re.escape(repr(bad))}$"
             with pytest.raises(ParameterError, match=message):
                 merge_stage(load.e_img[:64], load.guidance, bad, config)
