@@ -98,15 +98,19 @@ def parse_grid(text: str) -> PatchGrid:
 def parse_schedule(text: str, layers: int, non_visual: int) -> TokenSchedule:
     """``flat:N`` or ``step:KEPT,MERGED@LAYER`` into a TokenSchedule."""
     kind, _, body = text.partition(":")
-    try:
+    try:  # the parsing alone: TokenSchedule's own ParameterError names the problem
         if kind == "flat":
-            return TokenSchedule.flat(int(body), layers, non_visual)
+            visual = int(body)
         if kind == "step":
             counts, _, layer = body.partition("@")
-            kept, merged = counts.split(",")
-            return TokenSchedule.two_stage(int(kept), int(merged), int(layer), layers, non_visual)
+            kept, merged = (int(c) for c in counts.split(","))
+            at = int(layer)
     except ValueError:
-        pass
+        kind = None
+    if kind == "flat":
+        return TokenSchedule.flat(visual, layers, non_visual)
+    if kind == "step":
+        return TokenSchedule.two_stage(kept, merged, at, layers, non_visual)
     raise ParameterError(f"bad schedule {text!r}, expected flat:N or step:KEPT,MERGED@LAYER")
 
 

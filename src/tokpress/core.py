@@ -192,7 +192,7 @@ class RngState:
     DRAW_SLOTS = 16
 
     def __post_init__(self) -> None:
-        _check_integer(self.seed, "seed", 0, 2**64 - 1)
+        object.__setattr__(self, "seed", _check_integer(self.seed, "seed", 0, 2**64 - 1))
 
     def _draws(self, counters: np.ndarray) -> np.ndarray:
         # the one copy of the splitmix64 arithmetic: draw t for each uint64 counter t

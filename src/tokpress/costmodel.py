@@ -13,6 +13,7 @@ outside the count.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,7 @@ class TokenSchedule:
             raise ShapeError("visual_counts must be a non-empty 1-D sequence")
         if counts.dtype.kind not in "iu":  # _check_integer for a whole array: no floats, no bools
             raise ParameterError(f"TokenSchedule.visual_counts must be integers, got dtype {counts.dtype}")
-        _check_integer(self.non_visual, "TokenSchedule.non_visual", 0)
+        object.__setattr__(self, "non_visual", _check_integer(self.non_visual, "TokenSchedule.non_visual", 0))
         counts = counts.astype(np.int64)
         if counts.min() < 0:
             raise ParameterError("TokenSchedule.visual_counts must be non-negative")
@@ -98,7 +99,9 @@ def schedule_flops(schedule: TokenSchedule, spec: BackboneSpec = DEFAULT_BACKBON
     """Total flops of running the schedule through every backbone layer."""
     if schedule.layers != spec.layers:
         raise ShapeError(f"schedule covers {schedule.layers} layers, backbone has {spec.layers}")
-    return sum(layer_flops(schedule.tokens_at(i), spec) for i in range(spec.layers))
+    # once per distinct count, times the layers that run at it: exact integers, so the same sum
+    runs = Counter(schedule.visual_counts.tolist())
+    return sum(layers * layer_flops(n + schedule.non_visual, spec) for n, layers in runs.items())
 
 
 def relative_flops(

@@ -24,10 +24,11 @@ import numpy as np
 from .core import BinaryMask, ParameterError, RngState, _accepts, _check_integer
 
 
-def _check_kernel(kernel_size) -> None:
-    _check_integer(kernel_size, "kernel_size", 1)
-    if kernel_size % 2 == 0:
+def _check_kernel(kernel_size) -> int:
+    k = _check_integer(kernel_size, "kernel_size", 1)
+    if k % 2 == 0:
         raise ParameterError(f"kernel_size must be odd, got {kernel_size}")
+    return k
 
 
 def _window_counts(cells: np.ndarray, k: int) -> np.ndarray:
@@ -55,8 +56,8 @@ class ExpandParams:
     threshold: int = 1
 
     def __post_init__(self) -> None:
-        _check_kernel(self.kernel_size)
-        _check_integer(self.threshold, "threshold", 0)
+        object.__setattr__(self, "kernel_size", _check_kernel(self.kernel_size))
+        object.__setattr__(self, "threshold", _check_integer(self.threshold, "threshold", 0))
 
 
 def density_map(mask: BinaryMask, kernel_size: int) -> np.ndarray:
@@ -67,8 +68,7 @@ def density_map(mask: BinaryMask, kernel_size: int) -> np.ndarray:
     exact integer arithmetic. Returns a read-only int64 array shaped like
     the grid, with counts in [0, k*k].
     """
-    _check_kernel(kernel_size)
-    counts = _window_counts(mask.bits, int(kernel_size))  # numpy's -k of an unsigned k wraps
+    counts = _window_counts(mask.bits, _check_kernel(kernel_size))  # a Python int, as numpy's -k wraps
     counts.setflags(write=False)
     return counts
 
@@ -101,7 +101,7 @@ def expand_mask(mask: BinaryMask, params: ExpandParams, rng: RngState) -> Binary
     flips bits of a flat list, so the per-cell work is a list scan.
     """
     grid = mask.grid
-    k, tau = int(params.kernel_size), params.threshold
+    k, tau = params.kernel_size, params.threshold
     counts = density_map(mask, k)
 
     out = mask.bits.copy()

@@ -10,7 +10,8 @@ The public functions check every input once, with ``core._tokens``, and
 call private kernels, which do no checks of their own. The kernels take
 float32 rows with their float64 squared norms. Logits are raw dot products
 scaled afterwards by the two rows' RMS factors. ``match_logits`` and hard
-mode are float64 throughout; the soft fold takes its products on the
+mode are float64 throughout, and hard mode folds by a float64 segment sum
+of each source's targets; the soft fold takes its products on the
 float32 rows, with float64 scales and weights. Merged rows are convex
 combinations of the source row and the target rows, and soft mode clamps
 every coordinate into that hull, which float32 rounding could step past.
@@ -41,7 +42,7 @@ class MergeParams:
     mode: str = "soft"
 
     def __post_init__(self) -> None:
-        _check_integer(self.m, "m", 1)
+        object.__setattr__(self, "m", _check_integer(self.m, "m", 1))
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -112,9 +113,10 @@ def _fold(sources, s_sq, targets, t_sq, mode: str, out: np.ndarray) -> np.ndarra
     """Write the merged sources into the float32 ``out`` and return the weight each absorbed.
 
     Hard mode folds float64 copies of the rows, since one flipped argmax would move a whole
-    target. Soft mode folds the float32 rows and then clamps them into the hull; it too takes
-    float64 copies when a float32 dot product or weighted sum could overflow, which the
-    squared norms bound: |t.s|^2 <= |s|^2 |t|^2 and |sum_i w_i t_i|^2 <= n_t^2 max |t|^2.
+    target: each source adds its targets, in target order, as one segment sum of the targets
+    sorted by source. Soft mode folds the float32 rows and then clamps them into the hull; it
+    too takes float64 copies when a float32 dot product or weighted sum could overflow, which
+    the squared norms bound: |t.s|^2 <= |s|^2 |t|^2 and |sum_i w_i t_i|^2 <= n_t^2 max |t|^2.
     """
     n_t = targets.shape[0]
     if n_t == 0:
@@ -123,7 +125,16 @@ def _fold(sources, s_sq, targets, t_sq, mode: str, out: np.ndarray) -> np.ndarra
     wide = mode == "hard" or max(s_sq.max(), n_t * n_t) * t_sq.max() >= _OVERFLOW_SQ
     if wide:
         sources, targets = sources.astype(np.float64), targets.astype(np.float64)
-    w = match_weights(_logits(sources, s_sq, targets, t_sq), mode)
+    logits = _logits(sources, s_sq, targets, t_sq)
+    if mode == "hard":  # sources is a copy here, so it takes the sums in place
+        owner = np.argmax(logits, axis=1)
+        order = np.argsort(owner, kind="stable")
+        starts = np.flatnonzero(np.diff(owner[order], prepend=-1))
+        sources[owner[order[starts]]] += np.add.reduceat(targets[order], starts)
+        absorbed = np.bincount(owner, minlength=sources.shape[0]).astype(np.float64)
+        np.divide(sources, (1.0 + absorbed)[:, None], out=out)
+        return absorbed
+    w = match_weights(logits, mode)
     absorbed = w.sum(axis=0)
     merged = np.empty(sources.shape) if wide else out
     np.matmul(w.astype(merged.dtype, copy=False).T, targets, out=merged)
@@ -131,8 +142,6 @@ def _fold(sources, s_sq, targets, t_sq, mode: str, out: np.ndarray) -> np.ndarra
     merged /= (1.0 + absorbed).astype(merged.dtype)[:, None]
     if wide:
         out[...] = merged
-    if mode == "hard":
-        return absorbed
     t_min, t_max = targets.min(axis=0), targets.max(axis=0)
     for i in range(0, out.shape[0], _CLAMP_ROWS):
         rows, src = out[i : i + _CLAMP_ROWS], sources[i : i + _CLAMP_ROWS]

@@ -24,8 +24,8 @@ from .core import ParameterError, PatchGrid, RngState, ShapeError, _check_intege
 from .costmodel import TokenSchedule
 from .expand import ExpandParams, expand_mask
 from .merge import MergeParams, MergeReport, _fold
-from .sampling import context_indices, keep_set
-from .similarity import _anchor_mask, _relevance, _screened, top_m
+from .sampling import _keep, context_indices
+from .similarity import _anchor_mask, _relevance, _screened, _top_m
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,10 @@ class CompressionConfig:
             if not isinstance(getattr(self, name), kind):
                 raise ParameterError(f"{name} must be {kind.__name__}, got {getattr(self, name)!r}")
         _check_real(self.context_fraction, "context_fraction", 0, 1)
-        _check_integer(self.total_layers, "total_layers", 1)
-        _check_integer(self.merge_layer, "merge_layer", 0, self.total_layers - 1)
-        RngState(self.seed)  # the one seed check
+        layers = _check_integer(self.total_layers, "total_layers", 1)
+        object.__setattr__(self, "total_layers", layers)
+        object.__setattr__(self, "merge_layer", _check_integer(self.merge_layer, "merge_layer", 0, layers - 1))
+        object.__setattr__(self, "seed", RngState(self.seed).seed)  # the one seed check
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def _prune(e_img, e_lang, screen, grid: PatchGrid, config: CompressionConfig):
     anchors = _anchor_mask(e_img, e_lang, screen, grid)
     expanded = expand_mask(anchors, config.expand, RngState(config.seed))
     context = context_indices(grid.total, config.context_fraction)
-    kept_idx = keep_set(expanded, context)
+    kept_idx = _keep(expanded, context)
     report = PruneReport(
         anchors=anchors.count(),
         expanded=expanded.count(),
@@ -118,7 +119,7 @@ def prune_stage(e_img, e_lang, grid: PatchGrid, config: CompressionConfig):
 def _merge(rows, idx, guidance, config: CompressionConfig, out):
     # merges rows[idx] into out's rows; sources are the top len(out) by relevance, as positions in idx
     scores, sq = _relevance(rows, idx, guidance)
-    source = top_m(scores, out.shape[0])
+    source = _top_m(scores, out.shape[0])
     rest = np.ones(idx.size, dtype=bool)
     rest[source] = False
     return source, _fold(rows[idx[source]], sq[source], rows[idx[rest]], sq[rest], config.merge.mode, out)

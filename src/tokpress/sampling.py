@@ -24,7 +24,13 @@ def context_indices(n_tokens: int, fraction: float) -> np.ndarray:
     return (np.arange(count, dtype=np.int64) * n_tokens) // count
 
 
+def _keep(expanded: BinaryMask, context: np.ndarray) -> np.ndarray:
+    # the union as bits: context indices set in a copy of the mask, read back in token order
+    flat = expanded.bits.flatten()
+    flat[context] = True
+    return np.flatnonzero(flat)
+
+
 def keep_set(expanded: BinaryMask, context) -> np.ndarray:
     """Union of the expanded mask's token indices with the context samples."""
-    context = index_set(context, limit=expanded.grid.total, name="context")
-    return np.union1d(expanded.token_indices(), context)
+    return _keep(expanded, index_set(context, limit=expanded.grid.total, name="context"))

@@ -25,7 +25,6 @@ from .core import (
     _finite,
     _matrix,
     _tokens,
-    index_set,
     sq_norms,
 )
 
@@ -127,6 +126,11 @@ def relevance_scores(e_img, guides) -> np.ndarray:
     return _relevance(visual, np.arange(visual.shape[0]), guides)[0]
 
 
+def _top_m(scores: np.ndarray, m: int) -> np.ndarray:
+    # the m largest by a stable descending sort, so ties go to the lower index, in index order
+    return np.sort(np.argsort(-scores, kind="stable")[:m])
+
+
 def top_m(scores, m: int) -> np.ndarray:
     """Indices of the ``m`` largest scores as a sorted index set.
 
@@ -142,5 +146,4 @@ def top_m(scores, m: int) -> np.ndarray:
         raise ParameterError("scores must be finite")
     if not 0 <= m <= scores.size:
         raise GridRangeError(f"m {m} out of range [0, {scores.size}]")
-    order = np.argsort(-scores, kind="stable")
-    return index_set(order[:m])
+    return _top_m(scores, m)

@@ -46,13 +46,15 @@ class WorkloadSpec:
 
     def __post_init__(self) -> None:
         blocks = _check_integer(self.blocks, "blocks", 0)
-        _check_integer(self.embed_dim, "embed_dim")
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "embed_dim", _check_integer(self.embed_dim, "embed_dim"))
         try:
             lo, hi = self.block_size
         except (TypeError, ValueError):
             raise ParameterError(f"block_size must be a (lo, hi) pair, got {self.block_size!r}") from None
         lo = _check_integer(lo, "block_size[0]", 1)
         hi = _check_integer(hi, "block_size[1]", lo)
+        object.__setattr__(self, "block_size", (lo, hi))
         if hi > min(self.grid.height, self.grid.width):
             raise ParameterError(f"blocks of size {hi} do not fit a {self.grid.height}x{self.grid.width} view")
         # past 0.87 the foreground cosine band needed to certify the margin
@@ -64,7 +66,7 @@ class WorkloadSpec:
             raise ParameterError(
                 f"embed_dim {self.embed_dim} too small for up to {max_fg} foreground cells"
             )
-        RngState(self.seed)  # the one seed check
+        object.__setattr__(self, "seed", RngState(self.seed).seed)  # the one seed check
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Outputs under two OpenBLAS kernels.
+"""Outputs under two OpenBLAS kernels, and hard-mode outputs under two thread counts.
 
 Twenty default d=4096 scenes run through ``run_pipeline`` in two child
 processes, one on OpenBLAS's Haswell kernel and one on Prescott, one thread
@@ -8,6 +8,11 @@ bitwise only for a fixed kernel. Every decision (anchors, keep sets and
 merge sources) and every copied row must still be equal. Each child reports
 the kernel OpenBLAS actually picked; the test skips when both picked the
 same one, since it would then compare a kernel with itself.
+
+Hard mode folds float64 rows by segment sums outside BLAS, and its logits
+are float64, so its merged rows must not depend on how many threads
+OpenBLAS splits a product over: 24 sparse-flip scenes (3x24x24, k=5,
+tau=6) give bitwise equal rows at one and at two threads.
 """
 
 import os
@@ -52,6 +57,22 @@ for path in libs:
             out["core"] = fn().decode()
 np.savez(sys.argv[1], **out)
 """
+THREADS_CHILD = """
+import sys
+import numpy as np
+from tokpress.core import PatchGrid
+from tokpress.expand import ExpandParams
+from tokpress.merge import MergeParams
+from tokpress.pipeline import CompressionConfig, run_pipeline
+from tokpress.workload import WorkloadSpec, generate_workload
+config = CompressionConfig(expand=ExpandParams(5, 6), merge=MergeParams(m=80, mode="hard"))
+out = {}
+for seed in range(int(sys.argv[2])):
+    spec = WorkloadSpec(grid=PatchGrid(3, 24, 24), blocks=4, block_size=(3, 5), embed_dim=128, seed=seed)
+    load = generate_workload(spec)
+    out[f"rows{seed}"] = run_pipeline(load.e_img, load.e_lang, load.guidance, load.grid, config).compressed
+np.savez(sys.argv[1], **out)
+"""
 
 
 def blas_name() -> str:
@@ -59,18 +80,37 @@ def blas_name() -> str:
     return config.get("Build Dependencies", {}).get("blas", {}).get("name", "")
 
 
-def run_on(core: str, path: Path):
-    env = dict(os.environ)
-    env.update(OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+def run_child(code: str, path: Path, scenes: int, threads: str, **env_vars) -> subprocess.CompletedProcess:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join([str(Path(tokpress.__file__).parents[1]), env.get("PYTHONPATH", "")])
-    child = subprocess.run([sys.executable, "-c", CHILD, str(path), str(SCENES)], env=env, timeout=300)
+    return subprocess.run([sys.executable, "-c", code, str(path), str(scenes)], env=env, timeout=300)
+
+
+def run_on(core: str, path: Path):
+    child = run_child(CHILD, path, SCENES, "1", OPENBLAS_CORETYPE=core)
     if child.returncode == -signal.SIGILL:
         pytest.skip(f"this CPU cannot run OpenBLAS's {core} kernel")
     child.check_returncode()
     return np.load(path)
 
 
-@pytest.mark.skipif("openblas" not in blas_name().lower(), reason="numpy is not linked to OpenBLAS")
+needs_openblas = pytest.mark.skipif("openblas" not in blas_name().lower(), reason="numpy is not linked to OpenBLAS")
+
+
+@needs_openblas
+def test_hard_mode_rows_bitwise_equal_at_one_and_two_threads(tmp_path):
+    runs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"threads{threads}.npz"
+        run_child(THREADS_CHILD, path, 24, threads).check_returncode()
+        runs.append(np.load(path))
+    a, b = runs
+    assert sorted(a.files) == sorted(b.files) and len(a.files) == 24
+    for key in a.files:
+        assert a[key].tobytes() == b[key].tobytes(), key
+
+
+@needs_openblas
 def test_decisions_equal_and_rows_within_sqrt_d_ulps_on_haswell_and_prescott(tmp_path):
     a, b = (run_on(core, tmp_path / f"{core}.npz") for core in ("Haswell", "Prescott"))
     cores = str(a["core"]), str(b["core"])

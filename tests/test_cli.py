@@ -375,6 +375,11 @@ class TestSubcommands:
         assert (rep["baseline_flops"], rep["candidate_flops"]) == (str(base), str(cand))
         assert rep["ratio"] == repr(cand / base)
 
+    def test_cost_schedule_range_error_names_the_field(self, capsys):
+        code = main(["cost", "--baseline", "flat:100", "--candidate", "step:100,50@40"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: merge_layer must lie in [0, 31], got 40\n"
+
     def test_cost_identity_ratio(self, capsys):
         code = main(["cost", "--baseline", "flat:576", "--candidate", "flat:576"])
         assert code == 0

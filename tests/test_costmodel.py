@@ -146,6 +146,13 @@ class TestScheduleFlops:
         by_layer = sum(layer_flops(s.tokens_at(i), small) for i in range(4))
         assert total == by_layer
 
+    @given(st.lists(st.integers(0, 5000), min_size=1, max_size=48), st.integers(0, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_per_layer_sum(self, counts, non_visual):
+        s = TokenSchedule(np.sort(counts)[::-1], non_visual)
+        spec = BackboneSpec(layers=len(counts), hidden_dim=96, ff_dim=384)
+        assert schedule_flops(s, spec) == sum(layer_flops(s.tokens_at(i), spec) for i in range(s.layers))
+
 
 class TestRelativeFlops:
     def test_identity_ratio(self):

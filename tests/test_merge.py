@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import oracles
-from tokpress.core import ParameterError, ShapeError
+from tokpress.core import ParameterError, ShapeError, sq_norms
 from tokpress.merge import (
     EPSILON,
     MergeParams,
+    _fold,
     match_logits,
     match_weights,
     soft_bipartite_merge,
@@ -256,3 +257,55 @@ class TestSoftMerge:
         scaled = top_m(relevance_scores(e_img, guides * np.float32(12.0)), 10)
         assert np.array_equal(base, scaled)
 
+
+
+def hard_fold(s, t):
+    out = np.empty_like(s)
+    absorbed = _fold(s, sq_norms(s.astype(np.float64)), t, sq_norms(t.astype(np.float64)), "hard", out)
+    return out, absorbed
+
+
+class TestHardFold:
+    """The hard fold's segment sums against the step oracle, which adds one-hot rows target by target.
+
+    Both add each source's targets in target order in float64, so where the argmax is clear
+    the float32 rows are the oracle's, rounded.
+    """
+
+    def check(self, s, t):
+        got, absorbed = hard_fold(s, t)
+        want, w, s_vec = oracles.merge_steps(s, t, mode="hard")
+        assert np.array_equal(got, want.astype(np.float32))
+        assert np.array_equal(absorbed, s_vec)
+        return absorbed
+
+    def test_a_source_absorbs_nothing(self):
+        s = np.eye(3, 6, dtype=np.float32)
+        t = np.float32(0.1) * rand((9, 6), 80) + np.eye(3, 6, dtype=np.float32)[[0, 1, 1, 0, 1, 0, 0, 1, 1]]
+        absorbed = self.check(s, t)
+        assert absorbed.tolist() == [4.0, 5.0, 0.0]
+        assert np.array_equal(hard_fold(s, t)[0][2], s[2])
+
+    def test_every_target_on_one_source(self):
+        s = rand((5, 8), 81)
+        t = s[3] + np.float32(0.05) * rand((12, 8), 82)
+        assert self.check(s, t).tolist() == [0.0, 0.0, 0.0, 12.0, 0.0]
+
+    def test_exact_logit_ties_go_to_the_lower_source(self):
+        s = rand((4, 8), 83)
+        s[2], s[3] = s[0], s[1]  # sources 2 and 3 tie exactly with 0 and 1 on every target
+        t = s[[0, 1, 0, 0, 1]] + np.float32(0.05) * rand((5, 8), 84)
+        assert self.check(s, t).tolist() == [3.0, 2.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_instances(self, seed):
+        s, t = random_instance(seed + 200)
+        if t.shape[0]:
+            self.check(s, t)
+
+    def test_rows_at_1e20(self):
+        s, t = rand((4, 8), 85, 1e20), rand((10, 8), 86, 1e20)
+        got, absorbed = hard_fold(s, t)
+        want, _, s_vec = oracles.merge_steps(s, t, mode="hard")
+        assert np.isfinite(got).all() and np.array_equal(absorbed, s_vec)
+        assert np.allclose(got, want, rtol=1e-6, atol=0)

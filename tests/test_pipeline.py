@@ -107,6 +107,17 @@ class TestConfig:
         assert np.array_equal(a.compressed, b.compressed)
         assert np.array_equal(a.report.schedule.visual_counts, b.report.schedule.visual_counts)
 
+    def test_narrow_numpy_m_does_not_wrap_the_output_rows(self):
+        # m + language rows + guidance rows passes 255, where a uint8 m would wrap
+        load = load_2view(4)
+        narrow = CompressionConfig(context_fraction=1.0, merge=MergeParams(m=np.uint8(250)))
+        wide = CompressionConfig(context_fraction=1.0, merge=MergeParams(m=250))
+        a = run_pipeline(load.e_img, load.e_lang, load.guidance, load.grid, narrow)
+        b = run_pipeline(load.e_img, load.e_lang, load.guidance, load.grid, wide)
+        assert a.compressed.shape[0] == 250 + load.e_lang.shape[0] + load.guidance.shape[0]
+        assert a.compressed.tobytes() == b.compressed.tobytes()
+        assert type(narrow.merge.m) is int and type(narrow.seed) is int
+
 
 class TestPruneStage:
     def test_full_context_keeps_everything(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from scenes import mask_of
 from tokpress.core import BinaryMask, GridRangeError, ParameterError, PatchGrid
-from tokpress.sampling import context_indices, keep_set
+from tokpress.sampling import _keep, context_indices, keep_set
 
 
 class TestContextIndices:
@@ -59,6 +59,26 @@ class TestContextIndices:
 
     def test_numpy_integer_count_accepted(self):
         assert context_indices(np.int64(10), 0.5).tolist() == context_indices(10, 0.5).tolist()
+
+
+class TestKeepKernel:
+    """``_keep``, which the pipeline calls on unchecked context, against ``np.union1d``."""
+
+    @pytest.mark.parametrize(
+        "bits,context",
+        [
+            ([1, 8, 30], [17, 2, 30, 0]),  # unsorted, overlapping the mask
+            ([5, 6], [9, 9, 3, 9, 6]),  # duplicates
+            ([0, 31], []),  # no context
+            ([], [4, 1, 12]),  # an empty mask
+            ([], []),
+        ],
+    )
+    def test_matches_union1d(self, bits, context):
+        mask = mask_of(PatchGrid(2, 4, 4), bits)
+        got = _keep(mask, np.array(context, dtype=np.int64))
+        want = np.union1d(mask.token_indices(), np.array(context, dtype=np.int64))
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
 
 
 class TestKeepSet:

@@ -10,7 +10,7 @@ import oracles
 from scenes import BLOCK_EDGES
 from tokpress import similarity
 from tokpress.core import GridRangeError, ParameterError, PatchGrid, ShapeError, sq_norms
-from tokpress.similarity import _cosine, anchor_mask, relevance_scores, top_m
+from tokpress.similarity import _cosine, _top_m, anchor_mask, relevance_scores, top_m
 from tokpress.workload import WorkloadSpec, generate_workload
 
 
@@ -303,6 +303,22 @@ class TestBlockedRelevance:
         assert (got <= (whole + 1e-12).astype(np.float32)).all()
         m = (n + 1) // 2
         assert top_m(got, m).tolist() == oracles.top_m_indices(whole.astype(np.float32), m)
+
+
+class TestTopMKernel:
+    """``_top_m``, which the pipeline calls on unchecked float32 scores, against the sort oracle."""
+
+    @pytest.mark.parametrize("m", [0, 1, 4, 7, 12])
+    def test_tied_scores_match_oracle(self, m):
+        scores = np.array([0.5, 0.9, 0.5, 0.1, 0.9, 0.5, 0.1, 0.9, 0.0, 0.5, -0.0, 0.9], dtype=np.float32)
+        got = _top_m(scores, m)
+        assert got.dtype == np.int64 and got.tolist() == oracles.top_m_indices(scores, m)
+
+    @pytest.mark.parametrize("n", [1, 25])
+    def test_zero_and_all(self, n):
+        scores = rand((n,), 17)
+        assert _top_m(scores, 0).tolist() == oracles.top_m_indices(scores, 0) == []
+        assert _top_m(scores, n).tolist() == oracles.top_m_indices(scores, n) == list(range(n))
 
 
 class TestTopM:
