@@ -27,7 +27,7 @@ from .expand import ExpandParams, expand_mask
 from .merge import MergeParams
 from .pipeline import CompressionConfig, merge_stage, prune_stage, run_pipeline
 from .similarity import anchor_mask
-from .tokenfile import export_mask_pgm, read_tokens, write_tokens
+from .tokenfile import _overwrite, export_mask_pgm, read_tokens, write_tokens
 from .workload import Workload, WorkloadSpec, generate_workload
 
 # JSON key -> (CompressionConfig group or None for a top-level field, field, JSON type)
@@ -126,17 +126,18 @@ def _parse_span(text: str) -> tuple[int, int]:
 
 
 def _emit(lines, report_path=None, json_path=None) -> None:
+    # the report and JSON files are UTF-8 whatever the locale
     text = "".join(line + "\n" for line in lines)
     sys.stdout.write(text)
     if report_path:
-        Path(report_path).write_text(text)
+        _overwrite(report_path, text.encode("utf-8"))
     if json_path:
         grouped = {}
         for line in lines:
             key, _, value = line.partition("=")
             grouped.setdefault(key, []).append(value)
         payload = {k: v[0] if len(v) == 1 else v for k, v in grouped.items()}
-        Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _overwrite(json_path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def _mask_files(mask, out_prefix: str) -> list[str]:

@@ -24,12 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ParameterError, ShapeError, _check_integer, _tokens, index_set, sq_norms, token_matrix
+from .similarity import _BLOCK
 
 MODES = ("soft", "hard")
 #: added to the mean square in every RMS scale, so zero rows stay at zero;
 #: the merge oracle in tests/oracles.py uses the same value
 EPSILON = 1e-6
-_CLAMP_ROWS = 16  # rows per block of the soft fold's hull clamp, so a block's bounds stay in cache
 #: squared magnitude past which a float32 product may overflow (float32 tops out near 2**128)
 _OVERFLOW_SQ = 2.0**254
 
@@ -143,8 +143,9 @@ def _fold(sources, s_sq, targets, t_sq, mode: str, out: np.ndarray) -> np.ndarra
     if wide:
         out[...] = merged
     t_min, t_max = targets.min(axis=0), targets.max(axis=0)
-    for i in range(0, out.shape[0], _CLAMP_ROWS):
-        rows, src = out[i : i + _CLAMP_ROWS], sources[i : i + _CLAMP_ROWS]
+    step = max(1, _BLOCK // (4 * out.shape[1]))  # the hull clamp's float32 blocks, as the e_img scan's
+    for i in range(0, out.shape[0], step):
+        rows, src = out[i : i + step], sources[i : i + step]
         np.maximum(rows, np.minimum(src, t_min), out=rows)
         np.minimum(rows, np.maximum(src, t_max), out=rows)
     return absorbed

@@ -3,13 +3,16 @@
 The container is 12 bytes of header (magic, row count, column count, all
 little-endian) followed by the row-major float32 payload. Nothing else: the
 format is checkable byte for byte and costs no dependencies.
+
+Every file the package writes goes through ``_overwrite``, which writes over
+an existing file in place and then cuts it to length.
 """
 
 from __future__ import annotations
 
 import os
+import stat
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -35,12 +38,37 @@ class PayloadError(TokenFileError):
     """Payload holds values a TokenMatrix may not contain."""
 
 
+def _overwrite(path, data: bytes, seal: int = 0) -> None:
+    """Make the file at ``path`` hold exactly ``data``, writing over its old bytes in place.
+
+    Truncating a file to zero first makes the file system free and re-allocate its
+    blocks, which costs several times the write. So a regular file that holds bytes
+    is written over and then cut to length, its first ``seal`` bytes left zero until
+    the rest is written: a rewrite cut short leaves them zeroed. A new or empty file,
+    ``/dev/null`` or a pipe just receives ``data``. No fsync, no atomic replace.
+    """
+    # "wb" asks for O_TRUNC; dropping it keeps the old blocks, which the new bytes overwrite
+    with open(path, "wb", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as f:
+        old = os.fstat(f.fileno())
+        if not (stat.S_ISREG(old.st_mode) and old.st_size):
+            f.write(data)
+            return
+        f.write(bytes(seal))
+        f.write(memoryview(data)[seal:])  # a view: a slice of bytes would copy the whole file
+        f.truncate()
+        f.seek(0)
+        f.write(data[:seal])
+
+
 def write_tokens(matrix, path) -> None:
-    """Serialize a token matrix; container size is 12 + 4*rows*cols bytes."""
+    """Serialize a token matrix; container size is 12 + 4*rows*cols bytes.
+
+    A rewrite writes the magic last, so one cut short reads back as ``MagicError``.
+    """
     matrix = token_matrix(matrix)
     rows, cols = matrix.shape
     blob = _HEADER.pack(MAGIC, rows, cols) + matrix.astype("<f4").tobytes()
-    Path(path).write_bytes(blob)
+    _overwrite(path, blob, seal=len(MAGIC))
 
 
 def read_tokens(path) -> np.ndarray:
@@ -74,4 +102,4 @@ def export_mask_pgm(mask: BinaryMask, path) -> None:
         )
     header = f"P5\n{mask.grid.width} {mask.grid.height}\n255\n".encode("ascii")
     raster = np.where(mask.bits[0], 255, 0).astype(np.uint8)
-    Path(path).write_bytes(header + raster.tobytes())
+    _overwrite(path, header + raster.tobytes())

@@ -442,6 +442,33 @@ class TestSubcommands:
         mirrored = json.loads(json_path.read_text())
         assert mirrored["final_visual"] == "80"
 
+    def test_shorter_report_and_json_leave_no_stale_tail(self, workload_dir, tmp_path, capsys):
+        scene = ["--tokens", str(workload_dir / "img.tkb"), "--lang", str(workload_dir / "lang.tkb")]
+        mirrors = ["--report", str(tmp_path / "rep.txt"), "--json", str(tmp_path / "rep.json")]
+        assert main(["pipeline", *scene, "--grid", "2x16x16", *mirrors]) == 0
+        long = [(tmp_path / name).stat().st_size for name in ("rep.txt", "rep.json")]
+        cost = ["cost", "--baseline", "flat:512", "--candidate", "flat:256"]
+        assert main(cost + mirrors) == 0
+        assert main(cost + ["--report", str(tmp_path / "fresh.txt"), "--json", str(tmp_path / "fresh.json")]) == 0
+        stdout = capsys.readouterr().out.splitlines(keepends=True)
+        for name, fresh in (("rep.txt", "fresh.txt"), ("rep.json", "fresh.json")):
+            assert (tmp_path / name).read_bytes() == (tmp_path / fresh).read_bytes()
+        assert (tmp_path / "rep.txt").read_text() == "".join(stdout[-3:])
+        assert [(tmp_path / name).stat().st_size for name in ("rep.txt", "rep.json")] < long
+
+    def test_report_is_utf8(self, tmp_path, capsys):
+        out_dir = tmp_path / "wörk"
+        assert main(["gen", "--out-dir", str(out_dir), "--report", str(tmp_path / "rep.txt")]) == 0
+        assert (tmp_path / "rep.txt").read_bytes() == capsys.readouterr().out.encode("utf-8")
+        assert "wörk".encode("utf-8") in (tmp_path / "rep.txt").read_bytes()
+
+    @pytest.mark.skipif(not Path("/dev/null").exists(), reason="no /dev/null")
+    def test_json_and_out_to_dev_null(self, workload_dir, capsys):
+        scene = ["--tokens", str(workload_dir / "img.tkb"), "--lang", str(workload_dir / "lang.tkb")]
+        argv = ["prune", *scene, "--grid", "2x16x16", "--out", "/dev/null", "--json", "/dev/null"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("command", ["gen", "viz", "prune", "pipeline", "merge", "cost", "bench"])
     def test_json_groups_stdout_lines_by_key(self, workload_dir, tmp_path, capsys, command):
         img, lang = str(workload_dir / "img.tkb"), str(workload_dir / "lang.tkb")

@@ -1,8 +1,9 @@
 """Every name a library module, test module or demo imports is used in that
 file, every third-party package the library imports is a declared
 dependency, every name the package exports or the benchmark's tracer
-binds exists, and no library module rebinds a module-level name from a
-function.
+binds exists, no library module rebinds a module-level name from a
+function, and no library module writes a file except through
+``tokenfile._overwrite``.
 
 Deleting code tends to leave its imports behind, and its name in other
 places; this catches them. The package ``__init__`` re-exports names on
@@ -75,6 +76,60 @@ def test_no_module_global_state(path):
 def test_guard_sees_a_global_statement():
     source = "_cache = None\n\ndef f(x):\n    global _cache\n    _cache = x\n    return x\n"
     assert global_statements(source) == ["line 4: _cache"]
+
+
+def file_writes(source: str, exempt: str | None = None) -> list[str]:
+    """``line N: call`` for each call in ``source`` that writes a file, outside any function named ``exempt``.
+
+    A write is ``.write_bytes(``, ``.write_text(``, ``os.open(``, or an ``open(`` whose
+    literal mode holds w, a, x or +; a mode held in a variable goes unseen.
+    """
+    tree = ast.parse(source)
+    skip = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name == exempt
+        for node in ast.walk(func)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in skip:
+            continue
+        call = ast.unparse(node.func)
+        args = node.args + [k.value for k in node.keywords if k.arg == "mode"]
+        modes = [a.value for a in args if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+        writes = any(set(m) <= set("rwxabt+") and set(m) & set("wax+") for m in modes)
+        if call.endswith((".write_bytes", ".write_text")) or call == "os.open" or (
+            call.rpartition(".")[2] == "open" and writes
+        ):
+            found.append(f"line {node.lineno}: {call}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_files_are_written_only_by_the_writer(path):
+    # _overwrite writes over an existing file in place; any other write would truncate it first
+    exempt = "_overwrite" if path.name == "tokenfile.py" else None
+    assert file_writes(path.read_text(encoding="utf-8"), exempt) == []
+
+
+def test_guard_sees_file_writes():
+    source = (
+        "import os\n"
+        "def save(p, q, data):\n"
+        "    p.write_bytes(data)\n"
+        "    q.write_text('x')\n"
+        "    with open(p, 'rb') as f, open(q, mode='a+') as g, p.open('x'):\n"
+        "        os.open(p, os.O_WRONLY)\n"
+        "def _overwrite(p, data):\n"
+        "    with open(p, 'wb') as f:\n"
+        "        f.write(data)\n"
+    )
+    assert file_writes(source) == [
+        "line 3: p.write_bytes", "line 4: q.write_text", "line 5: open", "line 5: p.open",
+        "line 6: os.open", "line 8: open",
+    ]  # fmt: skip
+    assert file_writes(source, exempt="_overwrite") == file_writes(source)[:-1]
 
 
 def third_party_imports(source: str) -> set[str]:

@@ -1,12 +1,19 @@
+import errno
+import io
 import os
 import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from scenes import mask_of
+from tokpress import tokenfile
 from tokpress.core import BinaryMask, ParameterError, PatchGrid, RngState
 from tokpress.expand import ExpandParams, expand_mask
 from tokpress.tokenfile import (
@@ -146,6 +153,75 @@ class TestTokenContainer:
     def test_write_rejects_non_finite(self, tmp_path):
         with pytest.raises(ParameterError):
             write_tokens(np.array([[np.inf]], dtype=np.float32), tmp_path / "x.tkb")
+
+
+class TestRewrite:
+    """Writes go over an existing file in place and cut it to length."""
+
+    def test_shorter_rewrite_leaves_no_stale_tail(self, tmp_path):
+        rng = np.random.default_rng(2)
+        long, short = (rng.standard_normal(shape).astype(np.float32) for shape in ((40, 16), (3, 5)))
+        write_tokens(long, tmp_path / "x.tkb")
+        write_tokens(short, tmp_path / "x.tkb")
+        write_tokens(short, tmp_path / "fresh.tkb")
+        assert (tmp_path / "x.tkb").read_bytes() == (tmp_path / "fresh.tkb").read_bytes()
+        assert np.array_equal(read_tokens(tmp_path / "x.tkb"), short)
+
+    def test_shorter_pgm_rewrite_leaves_no_stale_tail(self, tmp_path):
+        export_mask_pgm(mask_of(PatchGrid(1, 16, 16), [3, 40]), tmp_path / "m.pgm")
+        export_mask_pgm(mask_of(PatchGrid(1, 2, 3), [1]), tmp_path / "m.pgm")
+        assert (tmp_path / "m.pgm").read_bytes() == b"P5\n3 2\n255\n" + bytes([0, 255, 0, 0, 0, 0])
+
+    def test_new_file_gets_the_default_mode(self, tmp_path):
+        write_tokens(np.ones((1, 1), dtype=np.float32), tmp_path / "x.tkb")
+        (tmp_path / "y").write_bytes(b"")
+        assert (tmp_path / "x.tkb").stat().st_mode == (tmp_path / "y").stat().st_mode
+
+    @pytest.mark.skipif(not Path("/dev/null").exists(), reason="no /dev/null")
+    def test_write_to_dev_null(self):
+        write_tokens(np.ones((4, 3), dtype=np.float32), "/dev/null")  # no length to cut
+
+    @pytest.mark.parametrize("existing, error", [(True, MagicError), (False, SizeError)])
+    def test_write_cut_short_is_rejected(self, tmp_path, monkeypatch, existing, error):
+        # the disk fills 20 bytes into the write: a rewrite's zeroed magic, or a new file's
+        # short length, must keep the mixed bytes from reading back as a matrix
+        path = tmp_path / "x.tkb"
+        if existing:
+            write_tokens(np.ones((4, 4), dtype=np.float32), path)
+
+        class DiskFull(io.FileIO):
+            room = 20
+
+            def write(self, b):
+                b = bytes(b)
+                if len(b) > self.room:
+                    super().write(b[: self.room])
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.room -= len(b)
+                return super().write(b)
+
+        monkeypatch.setattr(tokenfile, "open", lambda *a, **k: DiskFull(*a, **k), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write_tokens(np.full((4, 4), 2.0, dtype=np.float32), path)
+        monkeypatch.undo()
+        with pytest.raises(error):
+            read_tokens(path)
+
+    @given(
+        shapes=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 24)), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_rewrite_sequence_reads_back_as_the_last(self, shapes, seed):
+        rng = np.random.default_rng(seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.tkb"
+            for shape in shapes:
+                last = rng.standard_normal(shape).astype(np.float32)
+                write_tokens(last, path)
+            got, size = read_tokens(path), path.stat().st_size
+        assert got.tobytes() == last.tobytes() and got.shape == last.shape
+        assert size == 12 + last.nbytes
 
 
 class TestPgmExport:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from tokpress import merge
 from tokpress.core import ParameterError, ShapeError, sq_norms
 from tokpress.merge import (
     EPSILON,
@@ -179,6 +180,16 @@ class TestSoftMerge:
         lo, hi = np.minimum(s, t.min(axis=0)), np.maximum(s, t.max(axis=0))
         assert (merged >= lo).all() and (merged <= hi).all()
         assert (merged[:, point] == s[:, point]).all() and (merged[3, one_source] == s[3, one_source]).all()
+
+    @pytest.mark.parametrize("d", [64, 4096])
+    def test_clamp_block_size_leaves_the_rows_bitwise(self, monkeypatch, d):
+        # the hull clamp is elementwise, so its row blocks (one block of 80 rows at d=64,
+        # 16 rows at d=4096 by default) cannot change a bit
+        s, t = rand((80, d), 44), rand((200, d), 45)
+        want, _ = soft_bipartite_merge(s, t, MergeParams(m=80))
+        monkeypatch.setattr(merge, "_BLOCK", 4 * d)
+        got, _ = soft_bipartite_merge(s, t, MergeParams(m=80))
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_large_activations_match_step_oracle(self, seed):
