@@ -244,22 +244,17 @@ def _cmd_gen(args) -> list[str]:
     load = generate_workload(spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_tokens(load.e_img, out / "img.tkb")
-    write_tokens(load.e_lang, out / "lang.tkb")
-    write_tokens(load.guidance, out / "guidance.tkb")
-    mask_paths = _mask_files(load.truth, str(out / "truth"))
-    lines = [
+    files = {out / "img.tkb": load.e_img, out / "lang.tkb": load.e_lang, out / "guidance.tkb": load.guidance}
+    for path, matrix in files.items():
+        write_tokens(matrix, path)
+    paths = [*files, *_mask_files(load.truth, str(out / "truth"))]
+    return [
         "stage=gen",
         f"grid={spec.grid.views}x{spec.grid.height}x{spec.grid.width}",
         f"seed={spec.seed}",
         f"foreground_cells={load.truth.count()}",
         f"anchors={load.anchor_cells.size}",
-        f"wrote={out / 'img.tkb'}",
-        f"wrote={out / 'lang.tkb'}",
-        f"wrote={out / 'guidance.tkb'}",
-    ]
-    lines += [f"wrote={p}" for p in mask_paths]
-    return lines
+    ] + [f"wrote={p}" for p in paths]
 
 
 def _cmd_viz(args) -> list[str]:
@@ -313,82 +308,66 @@ def _cmd_bench(args) -> list[str]:
     ]
 
 
-def _add_report_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--report", help="also write the report text to this file")
-    p.add_argument("--json", help="also write the report as JSON to this file")
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # built on the first main() call and reused: construction costs more than
     # a small pipeline run, while parse_args returns a fresh Namespace per call
     parser = argparse.ArgumentParser(prog="tokpress", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    mirrors = argparse.ArgumentParser(add_help=False)
+    mirrors.add_argument("--report", help="also write the report text to this file")
+    mirrors.add_argument("--json", help="also write the report as JSON to this file")
+    scene = argparse.ArgumentParser(add_help=False)  # the arguments _scene reads
+    scene.add_argument("--tokens", required=True, help="visual token container")
+    scene.add_argument("--lang", required=True, help="language token container")
+    scene.add_argument("--grid", required=True, help="patch grid VxHxW")
+    scene.add_argument("--config", help="JSON config file")
 
-    p = sub.add_parser("prune", help="stage one: keep anchored, expanded, and context tokens")
-    p.add_argument("--tokens", required=True, help="visual token container")
-    p.add_argument("--lang", required=True, help="language token container")
-    p.add_argument("--grid", required=True, help="patch grid VxHxW")
-    p.add_argument("--config", help="JSON config file")
+    p = sub.add_parser(
+        "prune", parents=[scene, mirrors], help="stage one: keep anchored, expanded, and context tokens"
+    )
     p.add_argument("--out", help="write kept tokens here")
-    _add_report_args(p)
     p.set_defaults(func=_cmd_prune)
 
-    p = sub.add_parser("merge", help="stage two: fold visual tokens into top-m sources")
+    p = sub.add_parser("merge", parents=[mirrors], help="stage two: fold visual tokens into top-m sources")
     p.add_argument("--tokens", required=True, help="sequence token container")
     p.add_argument("--guidance", required=True, help="guidance token container")
     p.add_argument("--visual", help="visual row span START:STOP (default: whole sequence)")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", help="write merged sequence here")
-    _add_report_args(p)
     p.set_defaults(func=_cmd_merge)
 
-    p = sub.add_parser("pipeline", help="both stages end to end")
-    p.add_argument("--tokens", required=True)
-    p.add_argument("--lang", required=True)
+    p = sub.add_parser("pipeline", parents=[scene, mirrors], help="both stages end to end")
     p.add_argument("--guidance", help="defaults to the language tokens")
-    p.add_argument("--grid", required=True)
-    p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", help="write compressed sequence here")
     p.add_argument("--no-timing", action="store_true", help="omit timing lines (golden tests)")
-    _add_report_args(p)
     p.set_defaults(func=_cmd_pipeline)
 
-    p = sub.add_parser("cost", help="FLOPs of candidate schedule relative to baseline")
+    p = sub.add_parser("cost", parents=[mirrors], help="FLOPs of candidate schedule relative to baseline")
     p.add_argument("--baseline", required=True, help="flat:N or step:KEPT,MERGED@LAYER")
     p.add_argument("--candidate", required=True, help="flat:N or step:KEPT,MERGED@LAYER")
     p.add_argument("--layers", type=int, default=32)
     p.add_argument("--non-visual", type=int, default=0)
     p.add_argument("--hidden-dim", type=int, default=4096)
     p.add_argument("--ff-dim", type=int, default=11008)
-    _add_report_args(p)
     p.set_defaults(func=_cmd_cost)
 
-    p = sub.add_parser("gen", help="write a synthetic planted-foreground workload")
+    p = sub.add_parser("gen", parents=[mirrors], help="write a synthetic planted-foreground workload")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--grid", default="2x16x16")
     p.add_argument("--seed", type=int, default=0)
-    _add_report_args(p)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("viz", help="export the stage-one mask as PGM images")
-    p.add_argument("--tokens", required=True)
-    p.add_argument("--lang", required=True)
-    p.add_argument("--grid", required=True)
-    p.add_argument("--config", help="JSON config file")
+    p = sub.add_parser("viz", parents=[scene, mirrors], help="export the stage-one mask as PGM images")
     p.add_argument("--out", required=True, help="output path or prefix")
-    p.add_argument(
-        "--mask-stage", choices=("anchor", "expand"), default="expand", dest="mask_stage"
-    )
-    _add_report_args(p)
+    p.add_argument("--mask-stage", choices=("anchor", "expand"), default="expand")
     p.set_defaults(func=_cmd_viz)
 
-    p = sub.add_parser("bench", help="time one stage over repeated calls")
+    p = sub.add_parser("bench", parents=[mirrors], help="time one stage over repeated calls")
     p.add_argument("--stage", required=True, choices=("expand", "prune", "merge", "pipeline"))
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--grid", default="2x16x16")
     p.add_argument("--config", help="JSON config file")
-    _add_report_args(p)
     p.set_defaults(func=_cmd_bench)
 
     return parser

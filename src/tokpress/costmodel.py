@@ -24,7 +24,7 @@ from .core import ParameterError, ShapeError, _check_integer
 @dataclass(frozen=True)
 class BackboneSpec:
     """Transformer dimensions; the cost formula ignores ``heads``, which stays
-    only for the ``perfbench`` decoder until ROADMAP item 2 removes it."""
+    only because the ``perfbench`` decoder pins it (ROADMAP item 6, "Pinned by the benchmark")."""
 
     layers: int = 32
     hidden_dim: int = 4096
@@ -69,9 +69,6 @@ class TokenSchedule:
     @property
     def layers(self) -> int:
         return int(self.visual_counts.size)
-
-    def tokens_at(self, layer: int) -> int:
-        return int(self.visual_counts[layer]) + self.non_visual
 
     @classmethod
     def flat(cls, visual: int, layers: int, non_visual: int = 0) -> "TokenSchedule":

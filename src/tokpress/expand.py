@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import BinaryMask, ParameterError, RngState, _accepts, _check_integer
 
@@ -113,13 +114,10 @@ def expand_mask(mask: BinaryMask, params: ExpandParams, rng: RngState) -> Binary
     if v.size == 0:
         return BinaryMask(grid, out)
 
-    offsets = np.arange(k) - k // 2
-    rows = i[:, None] + offsets  # (cells, k)
-    cols = j[:, None] + offsets
-    in_rows = (rows >= 0) & (rows < grid.height)
-    in_cols = (cols >= 0) & (cols < grid.width)
-    flat = (v[:, None, None] * grid.height + rows[:, :, None]) * grid.width + cols[:, None, :]
-    windows = np.where(in_rows[:, :, None] & in_cols[:, None, :], flat, -1).reshape(v.size, k * k)
+    r = k // 2  # flat token indices, each view framed by r rows and columns of -1
+    index = np.full((grid.views, grid.height + 2 * r, grid.width + 2 * r), -1)
+    index[:, r : r + grid.height, r : r + grid.width] = np.arange(grid.total).reshape(grid.shape)
+    windows = sliding_window_view(index, (k, k), axis=(1, 2))[v, i, j].reshape(v.size, k * k)
     keys = (i * grid.width + j) * RngState.DRAW_SLOTS
     words = rng._draws(keys.astype(np.uint64))
 

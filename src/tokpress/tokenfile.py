@@ -67,7 +67,9 @@ def write_tokens(matrix, path) -> None:
     """
     matrix = token_matrix(matrix)
     rows, cols = matrix.shape
-    blob = _HEADER.pack(MAGIC, rows, cols) + matrix.astype("<f4").tobytes()
+    blob = bytearray(_HEADER.size + matrix.nbytes)  # the only copy of the payload
+    _HEADER.pack_into(blob, 0, MAGIC, rows, cols)
+    np.frombuffer(blob, "<f4", offset=_HEADER.size).reshape(rows, cols)[...] = matrix
     _overwrite(path, blob, seal=len(MAGIC))
 
 

@@ -414,12 +414,28 @@ class TestSubcommands:
         assert code == 0
         assert (tmp_path / "mask.pgm").exists()
 
+    def test_viz_out_pgm_suffix_is_not_doubled(self, workload_dir, tmp_path, capsys):
+        out = tmp_path / "masks"
+        out.mkdir()
+        capsys.readouterr()
+        viz = ["viz", "--tokens", str(workload_dir / "img.tkb"), "--lang", str(workload_dir / "lang.tkb")]
+        assert main(viz + ["--grid", "2x16x16", "--out", str(out / "mask.pgm")]) == 0
+        assert report_dict(capsys.readouterr().out)["wrote"] == [str(out / "mask_v0.pgm"), str(out / "mask_v1.pgm")]
+        assert sorted(p.name for p in out.iterdir()) == ["mask_v0.pgm", "mask_v1.pgm"]
+
     def test_bench_reports_percentiles(self, capsys):
         code = main(["bench", "--stage", "expand", "--reps", "30"])
         assert code == 0
         rep = report_dict(capsys.readouterr().out)
         assert float(rep["p50_ms"]) <= float(rep["p95_ms"])
         assert float(rep["mean_ms"]) > 0
+
+    @pytest.mark.parametrize("stage", ["prune", "merge", "pipeline"])
+    def test_bench_times_every_stage(self, capsys, stage):
+        assert main(["bench", "--stage", stage, "--reps", "3"]) == 0
+        rep = report_dict(capsys.readouterr().out)
+        assert rep["stage"] == stage and rep["reps"] == "3"
+        assert 0 < float(rep["p50_ms"]) <= float(rep["p95_ms"])
 
     def test_report_and_json_mirrors(self, workload_dir, config_path, tmp_path, capsys):
         rep_path = tmp_path / "rep.txt"
@@ -737,10 +753,11 @@ class TestRepeatedCalls:
         assert main(self.inputs(workload_dir, "prune") + ["--grid", "2x16x16"]) == 0
         assert main(["cost", "--baseline", "flat:512", "--candidate", "flat:256"]) == 0
         assert len(built) == 0
-        # the count does see a build: one parser per subcommand plus the top level
+        # the count does see a build: one parser per subcommand, the top level, and
+        # the two parents that hold the shared arguments (--report/--json and the scene)
         cli._parser.cache_clear()
         assert main(["cost", "--baseline", "flat:512", "--candidate", "flat:256"]) == 0
-        assert len(built) == 8
+        assert len(built) == 10
 
     @given(small_scenes(), st.booleans())
     @example(EDGE_SCENES[0], False)

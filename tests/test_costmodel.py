@@ -65,7 +65,7 @@ class TestTokenSchedule:
     def test_flat(self):
         s = TokenSchedule.flat(196, 8, 64)
         assert s.layers == 8
-        assert s.tokens_at(0) == 260
+        assert s.visual_counts[0] + s.non_visual == 260
 
     def test_two_stage_shape(self):
         s = TokenSchedule.two_stage(196, 80, 3, 8, 64)
@@ -74,6 +74,11 @@ class TestTokenSchedule:
     def test_two_stage_bad_layer(self):
         with pytest.raises(ParameterError):
             TokenSchedule.two_stage(196, 80, 8, 8)
+
+    @pytest.mark.parametrize("counts", [np.array([], dtype=np.int64), np.array([[4, 4], [2, 2]])])
+    def test_counts_must_be_non_empty_1d(self, counts):
+        with pytest.raises(ShapeError, match="non-empty 1-D"):
+            TokenSchedule(counts)
 
     def test_counts_may_not_increase(self):
         with pytest.raises(ParameterError):
@@ -143,7 +148,7 @@ class TestScheduleFlops:
     def test_additive_over_partitions(self):
         s = TokenSchedule(np.array([40, 30, 20, 10]), 5)
         total = schedule_flops(s, small)
-        by_layer = sum(layer_flops(s.tokens_at(i), small) for i in range(4))
+        by_layer = sum(layer_flops(s.visual_counts[i] + s.non_visual, small) for i in range(4))
         assert total == by_layer
 
     @given(st.lists(st.integers(0, 5000), min_size=1, max_size=48), st.integers(0, 300))
@@ -151,7 +156,8 @@ class TestScheduleFlops:
     def test_equals_the_per_layer_sum(self, counts, non_visual):
         s = TokenSchedule(np.sort(counts)[::-1], non_visual)
         spec = BackboneSpec(layers=len(counts), hidden_dim=96, ff_dim=384)
-        assert schedule_flops(s, spec) == sum(layer_flops(s.tokens_at(i), spec) for i in range(s.layers))
+        per_layer = (layer_flops(s.visual_counts[i] + s.non_visual, spec) for i in range(s.layers))
+        assert schedule_flops(s, spec) == sum(per_layer)
 
 
 class TestRelativeFlops:

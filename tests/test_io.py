@@ -150,6 +150,21 @@ class TestTokenContainer:
         assert got.tobytes() == m.tobytes()
         assert peak < m.nbytes + m.size // 8
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_write_holds_one_copy_of_the_payload(self, tmp_path, existing):
+        # the container is built in one buffer, so the peak is one copy of the payload
+        m = np.random.default_rng(3).standard_normal((512, 4096)).astype(np.float32)
+        if existing:
+            write_tokens(m[:100], tmp_path / "x.tkb")
+        tracemalloc.start()
+        try:
+            write_tokens(m, tmp_path / "x.tkb")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "x.tkb").read_bytes()[12:] == m.tobytes()
+        assert peak <= 1.1 * m.nbytes
+
     def test_write_rejects_non_finite(self, tmp_path):
         with pytest.raises(ParameterError):
             write_tokens(np.array([[np.inf]], dtype=np.float32), tmp_path / "x.tkb")

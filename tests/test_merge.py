@@ -241,6 +241,15 @@ class TestSoftMerge:
         w = match_weights(logits, "hard")
         assert w.tolist() == [[1.0, 0.0, 0.0]]
 
+    @pytest.mark.parametrize("logits", [np.zeros(3), np.zeros((2, 2, 2))])
+    def test_weights_need_2d_logits(self, logits):
+        with pytest.raises(ShapeError, match="logits must be 2-D"):
+            match_weights(logits)
+
+    def test_weights_unknown_mode(self):
+        with pytest.raises(ParameterError, match="mode must be one of"):
+            match_weights(np.zeros((2, 3)), "argmax")
+
     def test_soft_rows_stochastic(self):
         s, t = random_instance(300)
         if t.shape[0] == 0:

@@ -343,6 +343,10 @@ class TestTopM:
         with pytest.raises(GridRangeError):
             top_m(np.array([0.1, 0.2], dtype=np.float32), 3)
 
+    def test_2d_scores_rejected(self):
+        with pytest.raises(ShapeError, match="scores must be 1-D"):
+            top_m(np.zeros((2, 3), dtype=np.float32), 1)
+
     def test_min_selected_beats_max_unselected(self):
         scores = rand((40,), 15)
         chosen = top_m(scores, 12)
