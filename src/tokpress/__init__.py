@@ -7,6 +7,8 @@ analytic FLOPs model, a binary token container, a synthetic workload
 generator, and a CLI (``tokpress``).
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     BinaryMask,
     CounterStream,
@@ -59,52 +61,6 @@ from .workload import Workload, WorkloadSpec, generate_workload
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinaryMask",
-    "CounterStream",
-    "GridRangeError",
-    "ParameterError",
-    "PatchGrid",
-    "RngState",
-    "ShapeError",
-    "index_set",
-    "token_matrix",
-    "DEFAULT_BACKBONE",
-    "BackboneSpec",
-    "TokenSchedule",
-    "layer_flops",
-    "relative_flops",
-    "schedule_flops",
-    "ExpandParams",
-    "density_map",
-    "expand_mask",
-    "MergeParams",
-    "MergeReport",
-    "match_logits",
-    "match_weights",
-    "soft_bipartite_merge",
-    "split_source_target",
-    "CompressionConfig",
-    "PipelineReport",
-    "PipelineResult",
-    "PruneReport",
-    "merge_stage",
-    "prune_stage",
-    "run_pipeline",
-    "context_indices",
-    "keep_set",
-    "anchor_mask",
-    "relevance_scores",
-    "top_m",
-    "MagicError",
-    "PayloadError",
-    "SizeError",
-    "TokenFileError",
-    "export_mask_pgm",
-    "read_tokens",
-    "write_tokens",
-    "Workload",
-    "WorkloadSpec",
-    "generate_workload",
-    "__version__",
-]
+# the exports are the names imported above, in import order: every one that is no submodule
+__all__ = [name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _ModuleType))]
+__all__.append("__version__")

@@ -42,7 +42,7 @@ CONFIG_KEYS = {
     "seed": (None, "seed", "integer"),
 }
 _JSON_TYPES = {"integer": int, "number": (int, float), "string": str}
-_GROUPS = {None: CompressionConfig, "expand": ExpandParams, "merge": MergeParams}
+_KEY_OF = {name: key for key, (_, name, _) in CONFIG_KEYS.items()}
 
 def load_config(path=None) -> CompressionConfig:
     """Build a CompressionConfig from a JSON file; missing keys take its defaults.
@@ -68,17 +68,14 @@ def load_config(path=None) -> CompressionConfig:
         # bool is a subclass of int in Python, but JSON true/false is no number
         if not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool):
             raise ParameterError(f"config key {key} must be a JSON {kind}, got {value!r}")
-        if name != key:
-            # the range check's message names the field; run it on this value
-            # alone so the error can name the key
-            try:
-                _GROUPS[group](**{name: value})
-            except ParameterError as exc:
-                raise ParameterError(f"config key {key}: {exc}") from None
         fields[group][name] = value
-    return CompressionConfig(
-        expand=ExpandParams(**fields["expand"]), merge=MergeParams(**fields["merge"]), **fields[None]
-    )
+    try:
+        return CompressionConfig(
+            expand=ExpandParams(**fields["expand"]), merge=MergeParams(**fields["merge"]), **fields[None]
+        )
+    except ParameterError as exc:
+        # each range check's message starts with the field it names, and fields map 1:1 onto keys
+        raise ParameterError(f"config key {_KEY_OF[str(exc).split()[0]]}: {exc}") from None
 
 
 def parse_grid(text: str) -> PatchGrid:

@@ -24,13 +24,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import golden
 import tokpress
 
 SCENES = 20
 CHILD = """
-import ctypes
 import sys
 import numpy as np
+from golden import blas_core
 from tokpress.core import PatchGrid
 from tokpress.pipeline import CompressionConfig, run_pipeline
 from tokpress.similarity import anchor_mask
@@ -43,18 +44,7 @@ for seed in range(int(sys.argv[2])):
     out[f"kept{seed}"] = result.kept_indices
     out[f"sources{seed}"] = result.merge.source_indices
     out[f"rows{seed}"] = result.compressed
-out["core"] = ""  # the kernel OpenBLAS picked, asked of the library numpy loaded; "" if it cannot be
-try:
-    with open("/proc/self/maps") as maps:
-        libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
-except OSError:
-    libs = []
-for path in libs:
-    for name in ("openblas_get_corename", "openblas_get_corename64_", "scipy_openblas_get_corename64_"):
-        fn = getattr(ctypes.CDLL(path), name, None)
-        if fn is not None and not out["core"]:
-            fn.restype = ctypes.c_char_p
-            out["core"] = fn().decode()
+out["core"] = blas_core()
 np.savez(sys.argv[1], **out)
 """
 THREADS_CHILD = """
@@ -75,14 +65,10 @@ np.savez(sys.argv[1], **out)
 """
 
 
-def blas_name() -> str:
-    config = getattr(np.__config__, "CONFIG", {})
-    return config.get("Build Dependencies", {}).get("blas", {}).get("name", "")
-
-
 def run_child(code: str, path: Path, scenes: int, threads: str, **env_vars) -> subprocess.CompletedProcess:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, **env_vars)
-    env["PYTHONPATH"] = os.pathsep.join([str(Path(tokpress.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    paths = [str(Path(tokpress.__file__).parents[1]), str(Path(__file__).parent), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(paths)
     return subprocess.run([sys.executable, "-c", code, str(path), str(scenes)], env=env, timeout=300)
 
 
@@ -94,7 +80,9 @@ def run_on(core: str, path: Path):
     return np.load(path)
 
 
-needs_openblas = pytest.mark.skipif("openblas" not in blas_name().lower(), reason="numpy is not linked to OpenBLAS")
+needs_openblas = pytest.mark.skipif(
+    "openblas" not in golden.blas().get("name", "").lower(), reason="numpy is not linked to OpenBLAS"
+)
 
 
 @needs_openblas

@@ -25,8 +25,17 @@ from tokpress.workload import WorkloadSpec, generate_workload
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-# range errors of keys whose CompressionConfig fields are named otherwise (threshold, m)
-RANGE_ERRORS = [('{"tau": -1}', "tau"), ('{"top_m": 0}', "top_m")]
+# one out-of-range value per config key; each error names the key, also where the field is named otherwise
+RANGE_ERRORS = [
+    ('{"kernel_size": 4}', "kernel_size"),
+    ('{"tau": -1}', "tau"),
+    ('{"context_fraction": 1.5}', "context_fraction"),
+    ('{"top_m": 0}', "top_m"),
+    ('{"merge_mode": "mean"}', "merge_mode"),
+    ('{"merge_layer": 40}', "merge_layer"),
+    ('{"total_layers": 0}', "total_layers"),
+    ('{"seed": -1}', "seed"),
+]
 
 
 def report_dict(captured: str) -> dict:
@@ -104,6 +113,17 @@ class TestConfig:
         path = tmp_path / "c.json"
         path.write_text(text)
         with pytest.raises(ParameterError, match=f"config key {key}:"):
+            load_config(path)
+
+    def test_range_errors_cover_every_key(self):
+        assert sorted(key for _, key in RANGE_ERRORS) == sorted(CONFIG_KEYS)
+
+    def test_merge_layer_range_follows_total_layers_key(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"merge_layer": 40, "total_layers": 64}')
+        assert load_config(path).merge_layer == 40
+        path.write_text('{"total_layers": 8}')  # the default merge_layer, 16, is out of range
+        with pytest.raises(ParameterError, match=r"^config key merge_layer: merge_layer must lie in \[0, 7\]"):
             load_config(path)
 
     def test_integer_context_fraction_loads(self, tmp_path):

@@ -1,15 +1,17 @@
 """Every name a library module, test module or demo imports is used in that
 file, every third-party package the library imports is a declared
 dependency, every name the package exports or the benchmark's tracer
-binds exists, no library module rebinds a module-level name from a
-function, and no library module writes a file except through
-``tokenfile._overwrite``.
+binds exists, the exports derived from ``__init__``'s imports hold no
+stray name, no library module rebinds a module-level name from a
+function, no library module writes a file except through
+``tokenfile._overwrite``, and the library stays within its line budget.
 
 Deleting code tends to leave its imports behind, and its name in other
 places; this catches them. The package ``__init__`` re-exports names on
 purpose and is exempt, as is ``from __future__ import annotations``.
 """
 
+import __future__
 import ast
 import importlib
 import importlib.util
@@ -17,6 +19,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,8 @@ PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
 REPO = Path(__file__).resolve().parent.parent
 SPANS = REPO / "perfbench" / "spans.py"
 SCRIPTS = sorted(REPO.glob("tests/*.py")) + sorted(REPO.glob("demos/*.py"))
+# the most lines src/tokpress/*.py may hold; a change that raises it says so in CHANGES.md
+LINE_BUDGET = 1787
 
 
 def unused_imports(source: str) -> list[str]:
@@ -180,6 +185,14 @@ def test_every_exported_name_resolves():
     assert [name for name in tokpress.__all__ if not hasattr(tokpress, name)] == []
 
 
+def test_exports_hold_no_module_future_feature_duplicate_or_private_name():
+    # __all__ is derived from the names __init__ imports, so an import can slip in what is no export
+    exports = [getattr(tokpress, name) for name in tokpress.__all__]
+    assert [v for v in exports if isinstance(v, types.ModuleType | __future__._Feature)] == []
+    assert len(set(tokpress.__all__)) == len(tokpress.__all__)
+    assert [name for name in tokpress.__all__ if name.startswith("_")] == ["__version__"]
+
+
 def test_every_name_the_benchmark_traces_resolves():
     # perfbench/spans.py rebinds each traced function by name, so a deleted one breaks its --trace runs
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
@@ -192,3 +205,8 @@ def test_every_name_the_benchmark_traces_resolves():
         if not hasattr(importlib.import_module(mod), name)
     ]
     assert missing == []
+
+
+def test_library_stays_within_its_line_budget():
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in PACKAGE.glob("*.py"))
+    assert lines <= LINE_BUDGET
