@@ -13,8 +13,10 @@ values). All randomness is governed by the seed in the config file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -30,26 +32,25 @@ from .similarity import anchor_mask
 from .tokenfile import _overwrite, export_mask_pgm, read_tokens, write_tokens
 from .workload import Workload, WorkloadSpec, generate_workload
 
-# JSON key -> (CompressionConfig group or None for a top-level field, field, JSON type)
+# JSON key -> (CompressionConfig group or None for a top-level field, field)
 CONFIG_KEYS = {
-    "kernel_size": ("expand", "kernel_size", "integer"),
-    "tau": ("expand", "threshold", "integer"),
-    "context_fraction": (None, "context_fraction", "number"),
-    "top_m": ("merge", "m", "integer"),
-    "merge_mode": ("merge", "mode", "string"),
-    "merge_layer": (None, "merge_layer", "integer"),
-    "total_layers": (None, "total_layers", "integer"),
-    "seed": (None, "seed", "integer"),
+    "kernel_size": ("expand", "kernel_size"),
+    "tau": ("expand", "threshold"),
+    "context_fraction": (None, "context_fraction"),
+    "top_m": ("merge", "m"),
+    "merge_mode": ("merge", "mode"),
+    "merge_layer": (None, "merge_layer"),
+    "total_layers": (None, "total_layers"),
+    "seed": (None, "seed"),
 }
-_JSON_TYPES = {"integer": int, "number": (int, float), "string": str}
-_KEY_OF = {name: key for key, (_, name, _) in CONFIG_KEYS.items()}
+_KEY_OF = {name: key for key, (_, name) in CONFIG_KEYS.items()}
 
 def load_config(path=None) -> CompressionConfig:
     """Build a CompressionConfig from a JSON file; missing keys take its defaults.
 
-    Unknown keys and values of the wrong JSON type are rejected so typos
-    fail loudly; range checks are the dataclasses' own, and their errors
-    name the JSON key. The result depends on the file alone.
+    Unknown keys are rejected so typos fail loudly; type and range checks
+    are the dataclasses' own, and their errors name the JSON key. The
+    result depends on the file alone.
     """
     raw = {}
     if path is not None:
@@ -64,62 +65,47 @@ def load_config(path=None) -> CompressionConfig:
         raise ParameterError(f"unknown config keys: {', '.join(unknown)}")
     fields = {None: {}, "expand": {}, "merge": {}}
     for key, value in raw.items():
-        group, name, kind = CONFIG_KEYS[key]
-        # bool is a subclass of int in Python, but JSON true/false is no number
-        if not isinstance(value, _JSON_TYPES[kind]) or isinstance(value, bool):
-            raise ParameterError(f"config key {key} must be a JSON {kind}, got {value!r}")
+        group, name = CONFIG_KEYS[key]
         fields[group][name] = value
     try:
         return CompressionConfig(
             expand=ExpandParams(**fields["expand"]), merge=MergeParams(**fields["merge"]), **fields[None]
         )
     except ParameterError as exc:
-        # each range check's message starts with the field it names, and fields map 1:1 onto keys
+        # each check's message starts with the field it names, and fields map 1:1 onto keys
         raise ParameterError(f"config key {_KEY_OF[str(exc).split()[0]]}: {exc}") from None
+
+
+def _ints(pattern: str, text: str, what: str, form: str) -> list[int]:
+    """``int()`` of each group ``pattern`` matched over the whole of ``text``, skipping groups that took
+    no part; a ParameterError ``bad <what> <text>, expected <form>`` if it does not match or an int fails."""
+    match = re.fullmatch(pattern, text, re.DOTALL)
+    try:
+        if match:
+            return [int(group) for group in match.groups() if group is not None]
+    except ValueError:
+        pass
+    raise ParameterError(f"bad {what} {text!r}, expected {form}")
 
 
 def parse_grid(text: str) -> PatchGrid:
     """``VxHxW`` (or ``HxW`` for a single view) into a PatchGrid."""
-    parts = text.lower().split("x")
-    try:
-        dims = [int(p) for p in parts]
-    except ValueError:
-        raise ParameterError(f"bad grid {text!r}, expected VxHxW") from None
-    if len(dims) == 2:
-        dims = [1] + dims
-    if len(dims) != 3:
-        raise ParameterError(f"bad grid {text!r}, expected VxHxW")
-    return PatchGrid(*dims)
+    dims = _ints(r"(?:([^xX]*)[xX])?([^xX]*)[xX]([^xX]*)", text, "grid", "VxHxW")
+    return PatchGrid(*dims) if len(dims) == 3 else PatchGrid(1, *dims)
 
 
 def parse_schedule(text: str, layers: int, non_visual: int) -> TokenSchedule:
     """``flat:N`` or ``step:KEPT,MERGED@LAYER`` into a TokenSchedule."""
-    kind, _, body = text.partition(":")
-    try:  # the parsing alone: TokenSchedule's own ParameterError names the problem
-        if kind == "flat":
-            visual = int(body)
-        if kind == "step":
-            counts, _, layer = body.partition("@")
-            kept, merged = (int(c) for c in counts.split(","))
-            at = int(layer)
-    except ValueError:
-        kind = None
-    if kind == "flat":
-        return TokenSchedule.flat(visual, layers, non_visual)
-    if kind == "step":
-        return TokenSchedule.two_stage(kept, merged, at, layers, non_visual)
-    raise ParameterError(f"bad schedule {text!r}, expected flat:N or step:KEPT,MERGED@LAYER")
+    form = "flat:N or step:KEPT,MERGED@LAYER"
+    counts = _ints(r"flat:(.*)|step:([^,@]*),([^,@]*)@(.*)", text, "schedule", form)
+    if len(counts) == 1:  # TokenSchedule's own ParameterError names a count out of range
+        return TokenSchedule.flat(*counts, layers, non_visual)
+    return TokenSchedule.two_stage(*counts, layers, non_visual)
 
 
 def _parse_span(text: str) -> tuple[int, int]:
     """``START:STOP`` into a row span; the range itself is checked by ``merge_stage``."""
-    start, sep, stop = text.partition(":")
-    try:
-        if sep:
-            return int(start), int(stop)
-    except ValueError:
-        pass
-    raise ParameterError(f"bad visual span {text!r}, expected START:STOP")
+    return tuple(_ints(r"([^:]*):(.*)", text, "visual span", "START:STOP"))
 
 
 def _emit(lines, report_path=None, json_path=None) -> None:
@@ -153,16 +139,8 @@ def _mask_files(mask, out_prefix: str) -> list[str]:
 
 def _stage_one_lines(stage: str, grid: PatchGrid, config: CompressionConfig, rep) -> list[str]:
     # the report lines prune and pipeline share, from stage one's PruneReport
-    return [
-        f"stage={stage}",
-        f"grid={grid.views}x{grid.height}x{grid.width}",
-        f"seed={config.seed}",
-        f"anchors={rep.anchors}",
-        f"expanded={rep.expanded}",
-        f"context={rep.context}",
-        f"kept={rep.kept}",
-        f"pruned={rep.pruned}",
-    ]
+    head = [f"stage={stage}", f"grid={grid.views}x{grid.height}x{grid.width}", f"seed={config.seed}"]
+    return head + [f"{f.name}={getattr(rep, f.name)}" for f in dataclasses.fields(rep)]
 
 
 def _scene(args):

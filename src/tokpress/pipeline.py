@@ -116,13 +116,19 @@ def prune_stage(e_img, e_lang, grid: PatchGrid, config: CompressionConfig):
     return e_img[kept_idx], kept_idx, report
 
 
-def _merge(rows, idx, guidance, config: CompressionConfig, out):
-    # merges rows[idx] into out's rows; sources are the top len(out) by relevance, as positions in idx
+def _merge(rows, idx, guidance, config: CompressionConfig, head, tail):
+    # the sequence head, rows[idx] merged to min(idx.size, m) sources, then the tail arrays, with its
+    # MergeReport; sources are the top rows by relevance, reported as rows of that sequence
+    h, n = head.shape[0], min(idx.size, config.merge.m)
+    out = np.empty((h + n + sum(t.shape[0] for t in tail), rows.shape[1]), dtype=np.float32)
+    out[:h] = head
+    np.concatenate(tail, out=out[h + n :])
     scores, sq = _relevance(rows, idx, guidance)
-    source = _top_m(scores, out.shape[0])
+    source = _top_m(scores, n)
     rest = np.ones(idx.size, dtype=bool)
     rest[source] = False
-    return source, _fold(rows[idx[source]], sq[source], rows[idx[rest]], sq[rest], config.merge.mode, out)
+    absorbed = _fold(rows[idx[source]], sq[source], rows[idx[rest]], sq[rest], config.merge.mode, out[h : h + n])
+    return out, MergeReport(source + h, absorbed, idx.size, n)
 
 
 def _visual_span(visual_range, rows: int) -> tuple[int, int]:
@@ -158,11 +164,7 @@ def merge_stage(hidden, guidance, visual_range, config: CompressionConfig):
     hidden = _tokens(hidden, "hidden")
     guidance = _tokens(guidance, "guidance", hidden.shape[1], nonempty=True)
     start, stop = _visual_span(visual_range, hidden.shape[0])
-    n = min(stop - start, config.merge.m)
-    out = np.empty((hidden.shape[0] - (stop - start) + n, hidden.shape[1]), dtype=np.float32)
-    out[:start], out[start + n :] = hidden[:start], hidden[stop:]
-    source, absorbed = _merge(hidden, np.arange(start, stop), guidance, config, out[start : start + n])
-    return out, MergeReport(source + start, absorbed, stop - start, n)
+    return _merge(hidden, np.arange(start, stop), guidance, config, hidden[:start], [hidden[stop:]])
 
 
 def run_pipeline(e_img, e_lang, guidance, grid: PatchGrid, config: CompressionConfig) -> PipelineResult:
@@ -181,11 +183,7 @@ def run_pipeline(e_img, e_lang, guidance, grid: PatchGrid, config: CompressionCo
     t0 = time.perf_counter()
     kept_idx, prune_rep = _prune(e_img, e_lang, screen, grid, config)
     t1 = time.perf_counter()
-    n = min(prune_rep.kept, config.merge.m)
-    compressed = np.empty((n + e_lang.shape[0] + guidance.shape[0], e_img.shape[1]), dtype=np.float32)
-    source, absorbed = _merge(e_img, kept_idx, guidance, config, compressed[:n])
-    np.concatenate([e_lang, guidance], out=compressed[n:])
-    merge_rep = MergeReport(source, absorbed, prune_rep.kept, n)
+    compressed, merge_rep = _merge(e_img, kept_idx, guidance, config, e_img[:0], [e_lang, guidance])
     t2 = time.perf_counter()
 
     schedule = TokenSchedule.two_stage(

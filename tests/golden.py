@@ -4,8 +4,15 @@ The outputs are anchor masks, expanded masks, keep sets and merge source
 sets; hard-mode merged rows and absorbed weights; and, through the CLI,
 ``prune`` ``.tkb`` files, ``merge`` (hard mode), ``pipeline --no-timing``
 and ``cost`` reports with their JSON, and ``viz`` PGMs. The inputs are the
-four benchmark shapes at seeds 0 and 1. Soft-mode merged rows stay out:
-their float32 sums depend on the BLAS thread count.
+four benchmark shapes at seeds 0 and 1. On ``tokpress gen --seed 42``
+inputs at 2x16x16 and 3x24x24, under the default config and under k=5,
+tau=6, hard merge, the CLI matrix adds ``merge --visual 10:200``,
+``pipeline --no-timing`` with and without ``--guidance`` and ``viz`` at
+both mask stages and to a ``.pgm`` name. The ``error:`` line of each of a
+fixed list of bad ``--grid``, ``cost --baseline`` and ``--visual`` texts,
+and the keep sets, sources and hard-mode rows of ``scenes.EDGE_SCENES``,
+are pinned too. Soft-mode merged rows stay out: their float32 sums depend
+on the BLAS thread count.
 
 The digests are taken in one child process on OpenBLAS's Haswell kernel at
 one thread, so ``generate_workload``'s QR and GEMM bits do not depend on the
@@ -23,6 +30,8 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -57,6 +66,16 @@ SHAPES = {
     "cli-toy": ("2x16x16", dict(embed_dim=64), {}),
     "step-256": ("2x16x16", dict(embed_dim=256), {"merge_layer": 4, "total_layers": 8}),
 }
+# the CLI matrix runs on `tokpress gen --seed 42` inputs at these grids, under each of these configs
+MATRIX_GRIDS = ("2x16x16", "3x24x24")
+MATRIX_CONFIGS = {"default": {}, "sparse": {"kernel_size": 5, "tau": 6, "merge_mode": "hard"}}
+# option -> texts each CLI grammar rejects, or whose value the library rejects, on a 1x8x8 scene
+BAD_TEXTS = {
+    "grid": ["16", "axb", "1x2x3x4", "", "x8x8", "1x8x", "8x8x", "1.0x8x8", "0x8x8", "1x8x-8", "1x8x8\nx"],
+    "baseline": ["flat", "flat:x", "flat:", "step:1@2", "ramp:3", "step:9,9", "step:1,2,3@4", "step:1,2@3@4",
+                 "Flat:3", " flat:3", "flat:3:4", "flat:-1", "step:1,2@99"],
+    "visual": ["abc", "5", "3:x", "", "1:2:3", ":", "1:", ":5", "1.5:3", "5:3", "0:600", "-1:3"],
+}  # fmt: skip
 
 
 def blas() -> dict:
@@ -91,13 +110,14 @@ def _sha(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _cli(argv: list) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = tokpress_main(argv)
-    if code != 0:
-        raise RuntimeError(f"tokpress {' '.join(argv)} exited with {code}")
-    return out.getvalue()
+def _cli(argv: list, code: int = 0) -> str:
+    """What ``tokpress argv`` prints: stdout, or stderr when the expected exit ``code`` is not 0."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        got = tokpress_main(argv)
+    if got != code:
+        raise RuntimeError(f"tokpress {' '.join(argv)} exited with {got}, not {code}")
+    return (out if code == 0 else err).getvalue()
 
 
 def scene_digests(shape: str, seed: int) -> dict:
@@ -144,15 +164,81 @@ def scene_digests(shape: str, seed: int) -> dict:
     return {f"{shape}/{seed}/{key}": digest for key, digest in out.items()}
 
 
+def matrix_digests(grid_text: str) -> dict:
+    """The CLI matrix on ``gen --seed 42`` inputs, keyed ``cli/grid/config/output``; writes its files in the
+    working directory."""
+    out = {"gen_report": _sha(_cli(["gen", "--out-dir", ".", "--grid", grid_text, "--seed", "42"]).encode())}
+    for name in ("img.tkb", "lang.tkb", "guidance.tkb"):
+        out[name] = _sha(Path(name).read_bytes())
+    Path("sparse.json").write_text(json.dumps(MATRIX_CONFIGS["sparse"]))
+    scene = ["--tokens", "img.tkb", "--lang", "lang.tkb", "--grid", grid_text]
+    for config, keys in MATRIX_CONFIGS.items():
+        given = ["--config", "sparse.json"] if keys else []
+        commands = {
+            "prune": ["prune", *scene, *given, "--out", "pruned.tkb"],
+            "merge": ["merge", "--tokens", "img.tkb", "--guidance", "guidance.tkb", "--visual", "10:200",
+                      *given, "--out", "merged.tkb"],
+            "pipeline": ["pipeline", *scene, *given, "--no-timing"],
+            "pipeline_guided": ["pipeline", *scene, *given, "--guidance", "guidance.tkb", "--no-timing"],
+            "viz_anchor": ["viz", *scene, *given, "--mask-stage", "anchor", "--out", f"{config}_anchor"],
+            "viz_expand": ["viz", *scene, *given, "--mask-stage", "expand", "--out", f"{config}_expand"],
+            "viz_pgm": ["viz", *scene, *given, "--out", f"{config}_named.pgm"],
+        }  # fmt: skip
+        for name, argv in commands.items():
+            out[f"{config}/{name}_report"] = _sha(_cli(argv + ["--json", "report.json"]).encode())
+            out[f"{config}/{name}_json"] = _sha(Path("report.json").read_bytes())
+        # soft-mode rows stay out (module docstring); the soft merge is pinned by its report alone
+        for name in ["pruned.tkb"] + (["merged.tkb"] if keys.get("merge_mode") == "hard" else []):
+            out[f"{config}/{name}"] = _sha(Path(name).read_bytes())
+    for name in sorted(str(p) for p in Path().glob("*.pgm")):
+        out[name] = _sha(Path(name).read_bytes())
+    return {f"cli/{grid_text}/{key}": digest for key, digest in out.items()}
+
+
+def error_digests() -> dict:
+    """``cost`` on two schedule pairs and the ``error:`` line of each of ``BAD_TEXTS``, keyed ``cli/...``."""
+    out = {}
+    for i, pair in enumerate((["flat:512", "step:196,80@8"], ["step:300,100@12", "flat:128"])):
+        argv = ["cost", "--baseline", pair[0], "--candidate", pair[1], "--layers", "16", "--non-visual", "17"]
+        out[f"cli/cost/{i}"] = _sha(_cli(argv).encode())
+    _cli(["gen", "--out-dir", ".", "--grid", "1x8x8", "--seed", "42"])
+    commands = {
+        "grid": ["prune", "--tokens", "img.tkb", "--lang", "lang.tkb"],
+        "baseline": ["cost", "--candidate", "flat:1"],
+        "visual": ["merge", "--tokens", "img.tkb", "--guidance", "guidance.tkb"],
+    }
+    for option, texts in BAD_TEXTS.items():
+        for text in texts:  # --option=text, so that a text starting with "-" is no option
+            argv = commands[option] + [f"--{option}={text}"]
+            out[f"cli/error/{option}/{text!r}"] = _sha(_cli(argv, code=1).encode())
+    return out
+
+
+def edge_digests() -> dict:
+    """Keep sets, merge sources and hard-mode rows of each of ``scenes.EDGE_SCENES``, keyed ``edge/i/output``."""
+    from scenes import EDGE_SCENES  # imports hypothesis, which only these digests need
+
+    out = {}
+    for i, (load, config) in enumerate(EDGE_SCENES):
+        result = run_pipeline(load.e_img, load.e_lang, load.guidance, load.grid, config)
+        hard = dataclasses.replace(config, merge=dataclasses.replace(config.merge, mode="hard"))
+        hard_result = run_pipeline(load.e_img, load.e_lang, load.guidance, load.grid, hard)
+        out[f"edge/{i}/keep_set"] = _sha(result.kept_indices)
+        out[f"edge/{i}/sources"] = _sha(result.merge.source_indices)
+        out[f"edge/{i}/hard_rows"] = _sha(hard_result.compressed)
+    return out
+
+
 def child(path: str) -> None:
     """Write the fingerprint and every digest to ``path`` as JSON; run under the pinned environment."""
     path, digests = Path(path).resolve(), {}
-    for shape in SHAPES:
-        for seed in SEEDS:
-            with tempfile.TemporaryDirectory() as tmp:
-                os.chdir(tmp)
-                digests.update(scene_digests(shape, seed))
-                os.chdir(path.parent)
+    jobs = [functools.partial(scene_digests, shape, seed) for shape in SHAPES for seed in SEEDS]
+    jobs += [functools.partial(matrix_digests, grid) for grid in MATRIX_GRIDS] + [error_digests, edge_digests]
+    for job in jobs:
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            digests.update(job())
+            os.chdir(path.parent)
     path.write_text(json.dumps({"fingerprint": fingerprint(), "digests": digests}, indent=1) + "\n")
 
 

@@ -100,12 +100,18 @@ class TestConfig:
             ('{"top_m": "40"}', "top_m"),
             ('{"kernel_size": true}', "kernel_size"),
             ('{"context_fraction": "0.5"}', "context_fraction"),
+            ('{"seed": null}', "seed"),
+            ('{"merge_mode": null}', "merge_mode"),
+            ('{"merge_layer": [4]}', "merge_layer"),
+            ('{"merge_mode": {"mode": "soft"}}', "merge_mode"),
+            ('{"context_fraction": true}', "context_fraction"),
+            ('{"total_layers": 8.0}', "total_layers"),
         ],
     )
     def test_wrong_json_type_names_key(self, tmp_path, text, key):
         path = tmp_path / "c.json"
         path.write_text(text)
-        with pytest.raises(ParameterError, match=key):
+        with pytest.raises(ParameterError, match=f"^config key {key}: "):
             load_config(path)
 
     @pytest.mark.parametrize("text,key", RANGE_ERRORS)
@@ -140,7 +146,7 @@ class TestConfig:
                 leaves |= {(f.name, g.name) for g in dataclasses.fields(value)}
             else:
                 leaves.add((None, f.name))
-        targets = [(group, name) for group, name, _ in CONFIG_KEYS.values()]
+        targets = list(CONFIG_KEYS.values())
         assert len(set(targets)) == len(targets)
         assert set(targets) == leaves
 
@@ -157,7 +163,7 @@ class TestConfig:
         }
         assert set(values) == set(CONFIG_KEYS)
         default = CompressionConfig()
-        for key, (group, name, _) in CONFIG_KEYS.items():
+        for key, (group, name) in CONFIG_KEYS.items():
             assert values[key] != getattr(getattr(default, group) if group else default, name)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(values))
@@ -206,15 +212,20 @@ class TestConfig:
 
 
 class TestParsers:
-    def test_grid_three_part(self):
-        g = parse_grid("2x16x16")
+    @pytest.mark.parametrize("text", ["2x16x16", " 2X16x16\n", "+2x1_6x16", "２x１６x16", "2 x 16 x\t16"])
+    def test_grid_three_part(self, text):
+        g = parse_grid(text)
         assert (g.views, g.height, g.width) == (2, 16, 16)
 
     def test_grid_two_part_single_view(self):
         g = parse_grid("8x12")
         assert (g.views, g.height, g.width) == (1, 8, 12)
 
-    @pytest.mark.parametrize("bad", ["16", "axb", "1x2x3x4", ""])
+    @pytest.mark.parametrize(
+        "bad",
+        ["16", "axb", "1x2x3x4", "", "1X2x3X4", "2x16x16x", "x2x16", "2xx16", "2x1__6x16", "_2x16x16",
+         "2x16x16_", "2x+-16x16", "2x16.0x16", "2x16x16\nx", "2×16×16", "2ｘ16ｘ16", "2x-16x16"],
+    )  # fmt: skip
     def test_grid_rejects(self, bad):
         with pytest.raises(ParameterError):
             parse_grid(bad)
@@ -223,12 +234,17 @@ class TestParsers:
         s = parse_schedule("flat:576", 4, 0)
         assert s.visual_counts.tolist() == [576] * 4
 
-    def test_schedule_step(self):
-        s = parse_schedule("step:196,80@2", 4, 64)
+    @pytest.mark.parametrize("text", ["step:196,80@2", "step: 196 ,+80@2\n", "step:1_96,８０@２"])
+    def test_schedule_step(self, text):
+        s = parse_schedule(text, 4, 64)
         assert s.visual_counts.tolist() == [196, 196, 80, 80]
         assert s.non_visual == 64
 
-    @pytest.mark.parametrize("bad", ["flat", "flat:x", "step:1@2", "ramp:3", "step:9,9"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["flat", "flat:x", "step:1@2", "ramp:3", "step:9,9", "step:1,2,3@4", "step:1,2@3@4", "flat:3:4",
+         " flat:3", "FLAT:3", "Step:1,2@3", "step:1,2@", "step:,2@3", "flat:1_", "flat:+-3", "step:1;2@3"],
+    )  # fmt: skip
     def test_schedule_rejects(self, bad):
         with pytest.raises(ParameterError):
             parse_schedule(bad, 4, 0)
@@ -556,7 +572,9 @@ class TestErrorPaths:
             assert code == 1
             assert capsys.readouterr().err.startswith(f"error: {bad}: not a JSON config: ")
 
-    @pytest.mark.parametrize("span", ["abc", "5", "3:x", "", "1:2:3"])
+    @pytest.mark.parametrize(
+        "span", ["abc", "5", "3:x", "", "1:2:3", "1::2", ":", "1:", ":5", "1_:2", "1:2\n:", "1.0:2", "１:２:３"]
+    )
     def test_bad_visual_span(self, workload_dir, capsys, span):
         argv = ["merge", "--tokens", str(workload_dir / "img.tkb"), "--visual", span]
         assert main(argv + ["--guidance", str(workload_dir / "guidance.tkb")]) == 1
@@ -566,7 +584,14 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "span,message",
-        [("5:3", "start 5 > stop 3"), ("0:600", "[0, 600) outside sequence of 512 rows")],
+        [
+            ("5:3", "start 5 > stop 3"),
+            ("0:600", "[0, 600) outside sequence of 512 rows"),
+            (" 5 :\t3\n", "start 5 > stop 3"),
+            ("+5:３", "start 5 > stop 3"),
+            ("0:6_00", "[0, 600) outside sequence of 512 rows"),
+            ("0:-1", "start 0 > stop -1"),
+        ],
     )
     def test_visual_span_out_of_order_or_range(self, workload_dir, capsys, span, message):
         argv = ["merge", "--tokens", str(workload_dir / "img.tkb"), "--visual", span]
@@ -791,7 +816,7 @@ class TestRepeatedCalls:
         grid, m = load.grid, config.merge.m
         guidance = load.guidance if guided else load.e_lang
         groups = {None: config, "expand": config.expand, "merge": config.merge}
-        values = {key: getattr(groups[g], name) for key, (g, name, _) in CONFIG_KEYS.items()}
+        values = {key: getattr(groups[g], name) for key, (g, name) in CONFIG_KEYS.items()}
         with tempfile.TemporaryDirectory() as tmp:
             d = Path(tmp)
             for name, rows in (("img", load.e_img), ("lang", load.e_lang), ("guidance", load.guidance)):
@@ -845,7 +870,7 @@ class TestCorruptInputs:
         inputs, grid, config = data.draw(corrupt_scenes(kind))
         name = CORRUPTIONS[kind]
         groups = {None: config, "expand": config.expand, "merge": config.merge}
-        values = {key: getattr(groups[g], f) for key, (g, f, _) in CONFIG_KEYS.items()}
+        values = {key: getattr(groups[g], f) for key, (g, f) in CONFIG_KEYS.items()}
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             if name is not None and kind not in REACH_STAGE_ONE:
                 mp.setattr(pipeline, "_prune", self.stage_one)

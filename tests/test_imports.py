@@ -3,12 +3,14 @@ file, every third-party package the library imports is a declared
 dependency, every name the package exports or the benchmark's tracer
 binds exists, the exports derived from ``__init__``'s imports hold no
 stray name, no library module rebinds a module-level name from a
-function, no library module writes a file except through
+function, every module-level name the library defines is exported or
+read somewhere in it, no library module writes a file except through
 ``tokenfile._overwrite``, and the library stays within its line budget.
 
-Deleting code tends to leave its imports behind, and its name in other
-places; this catches them. The package ``__init__`` re-exports names on
-purpose and is exempt, as is ``from __future__ import annotations``.
+Deleting code tends to leave its imports behind, its name in other
+places, and the tables only it read; this catches them. The package
+``__init__`` re-exports names on purpose and is exempt from the import
+check, as is ``from __future__ import annotations``.
 """
 
 import __future__
@@ -33,7 +35,7 @@ REPO = Path(__file__).resolve().parent.parent
 SPANS = REPO / "perfbench" / "spans.py"
 SCRIPTS = sorted(REPO.glob("tests/*.py")) + sorted(REPO.glob("demos/*.py"))
 # the most lines src/tokpress/*.py may hold; a change that raises it says so in CHANGES.md
-LINE_BUDGET = 1787
+LINE_BUDGET = 1763
 
 
 def unused_imports(source: str) -> list[str]:
@@ -205,6 +207,53 @@ def test_every_name_the_benchmark_traces_resolves():
         if not hasattr(importlib.import_module(mod), name)
     ]
     assert missing == []
+
+
+def defined_names(source: str) -> set[str]:
+    """The names ``source`` binds at module level by assignment, ``def`` or ``class``, dunder names aside."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign | ast.AnnAssign):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if not name.startswith("__")}
+
+
+def read_names(source: str) -> set[str]:
+    """The names ``source`` reads, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)) or isinstance(node, ast.Attribute)
+    }
+
+
+def test_every_module_level_name_is_exported_or_read():
+    # a table or helper that outlives its last reader is dead code; exports are read by the package's users
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(read_names, sources.values())) | set(tokpress.__all__)
+    dead = [f"{name}: {n}" for name, source in sources.items() for n in sorted(defined_names(source) - read)]
+    assert dead == []
+
+
+def test_guard_sees_a_dead_module_level_name():
+    source = (
+        "import re\n"
+        "__all__ = ['f']\n"
+        "TABLE, _TYPES = {}, {}\n"
+        "_LIMIT: int = 3\n"
+        "class Spec:\n"
+        "    width = 1\n"
+        "def f(x):\n"
+        "    unused = 2\n"
+        "    return re.sub(_LIMIT, x, Spec.width)\n"
+        "def _g():\n"
+        "    pass\n"
+    )
+    assert defined_names(source) == {"TABLE", "_TYPES", "_LIMIT", "Spec", "f", "_g"}
+    assert defined_names(source) - read_names(source) - {"f"} == {"TABLE", "_TYPES", "_g"}
 
 
 def test_library_stays_within_its_line_budget():
