@@ -98,9 +98,11 @@ def parse_schedule(text: str, layers: int, non_visual: int) -> TokenSchedule:
     """``flat:N`` or ``step:KEPT,MERGED@LAYER`` into a TokenSchedule."""
     form = "flat:N or step:KEPT,MERGED@LAYER"
     counts = _ints(r"flat:(.*)|step:([^,@]*),([^,@]*)@(.*)", text, "schedule", form)
-    if len(counts) == 1:  # TokenSchedule's own ParameterError names a count out of range
-        return TokenSchedule.flat(*counts, layers, non_visual)
-    return TokenSchedule.two_stage(*counts, layers, non_visual)
+    make = TokenSchedule.flat if len(counts) == 1 else TokenSchedule.two_stage
+    try:
+        return make(*counts, layers, non_visual)
+    except ParameterError as exc:  # TokenSchedule's check names the count out of range, this the text
+        raise ParameterError(f"schedule {text!r}: {exc}") from None
 
 
 def _parse_span(text: str) -> tuple[int, int]:
@@ -256,9 +258,7 @@ def _bench_target(stage: str, load: Workload, config: CompressionConfig):
         hidden = np.vstack([kept, load.e_lang, load.guidance])
         span = (0, kept.shape[0])
         return lambda: merge_stage(hidden, load.guidance, span, config)
-    if stage == "pipeline":
-        return lambda: run_pipeline(load.e_img, load.e_lang, load.guidance, grid, config)
-    raise ParameterError(f"unknown bench stage {stage!r}")
+    return lambda: run_pipeline(load.e_img, load.e_lang, load.guidance, grid, config)  # --stage's last choice
 
 
 def _cmd_bench(args) -> list[str]:

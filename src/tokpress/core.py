@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_BLOCK = 2**18  # bytes per block of the blocked passes over rows: 256 KB, so a block stays in cache
+
 
 class ShapeError(ValueError):
     """Operand shapes do not line up."""
@@ -94,8 +96,10 @@ def _tokens(data, name: str, width: int | None = None, nonempty: bool = False) -
 
 
 def sq_norms(rows: np.ndarray) -> np.ndarray:
-    """Squared norm of each row, in the rows' dtype; equal rows get equal norms."""
-    return np.einsum("ij,ij->i", rows, rows)
+    """Squared norm of each row, in the rows' dtype, as batched 1 x d by d x 1 products (mostly faster
+    than einsum's); equal rows get equal norms, and a norm that overflows is inf, with no warning."""
+    with np.errstate(over="ignore"):
+        return np.matmul(rows[:, None], rows[:, :, None]).reshape(-1)
 
 
 def index_set(indices, *, limit: int | None = None, name: str = "indices") -> np.ndarray:
@@ -236,9 +240,9 @@ class CounterStream:
     draws. Not thread-safe; create one per job.
     """
 
-    def __init__(self, rng: RngState, start: int = 0):
+    def __init__(self, rng: RngState):
         self._rng = rng
-        self._next = start
+        self._next = 0
 
     def u64(self, count: int) -> np.ndarray:
         out = self._rng.values(self._next, count)

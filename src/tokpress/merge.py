@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, ShapeError, _check_integer, _tokens, index_set, sq_norms, token_matrix
-from .similarity import _BLOCK
+from .core import _BLOCK, ParameterError, ShapeError, _check_integer, _tokens, index_set, sq_norms, token_matrix
 
 MODES = ("soft", "hard")
 #: added to the mean square in every RMS scale, so zero rows stay at zero;

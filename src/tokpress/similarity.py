@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    _BLOCK,
     BinaryMask,
     GridRangeError,
     ParameterError,
@@ -30,7 +31,6 @@ from .core import (
 
 _U32 = 2.0**-24  # float32 unit roundoff
 _SAFE_SQ = (2.0**-60, 2.0**60)  # float32 squared row norms the screen's bound covers
-_BLOCK = 2**18  # bytes per block of the blocked passes over rows: 256 KB, so a block stays in cache
 
 
 def _cosine(dots: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
@@ -48,8 +48,8 @@ def _screened(e_img, e_lang) -> tuple[np.ndarray, np.ndarray, tuple]:
     n, step = e_img.shape[0], max(1, _BLOCK // (4 * e_img.shape[1]))
     sq, dots = np.empty(n, np.float32), np.empty((n, scaled.shape[0]), np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, n, step):  # squared norms as batched 1 x d by d x 1 products, faster than einsum's
-            np.matmul(e_img[i : i + step, None], e_img[i : i + step, :, None], out=sq[i : i + step, None, None])
+        for i in range(0, n, step):
+            sq[i : i + step] = sq_norms(e_img[i : i + step])
             np.matmul(e_img[i : i + step], scaled.T, out=dots[i : i + step])
     _finite(e_img, sq, "e_img")
     return e_img, e_lang, (np.sqrt(sq_norms(scaled.astype(np.float64))), sq, dots)

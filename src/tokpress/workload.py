@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinaryMask, CounterStream, ParameterError, PatchGrid, RngState, _check_integer, _check_real
-from .similarity import _BLOCK
+from .core import _BLOCK, BinaryMask, CounterStream, ParameterError, PatchGrid, RngState, _check_integer, _check_real
 
 
 @dataclass(frozen=True)

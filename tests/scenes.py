@@ -19,11 +19,10 @@ import dataclasses
 import numpy as np
 from hypothesis import strategies as st
 
-from tokpress.core import BinaryMask, PatchGrid
+from tokpress.core import _BLOCK, BinaryMask, PatchGrid
 from tokpress.expand import ExpandParams
 from tokpress.merge import MergeParams
 from tokpress.pipeline import CompressionConfig
-from tokpress.similarity import _BLOCK
 from tokpress.workload import WorkloadSpec, generate_workload
 
 #: corruption -> the input it makes invalid (None: the scene stays valid)

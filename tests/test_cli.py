@@ -414,7 +414,10 @@ class TestSubcommands:
     def test_cost_schedule_range_error_names_the_field(self, capsys):
         code = main(["cost", "--baseline", "flat:100", "--candidate", "step:100,50@40"])
         assert code == 1
-        assert capsys.readouterr().err == "error: merge_layer must lie in [0, 31], got 40\n"
+        assert capsys.readouterr().err == "error: schedule 'step:100,50@40': merge_layer must lie in [0, 31], got 40\n"
+        assert main(["cost", "--baseline=flat:-1", "--candidate", "flat:1"]) == 1
+        err = "error: schedule 'flat:-1': TokenSchedule.visual_counts must be non-negative\n"
+        assert capsys.readouterr().err == err
 
     def test_cost_identity_ratio(self, capsys):
         code = main(["cost", "--baseline", "flat:576", "--candidate", "flat:576"])

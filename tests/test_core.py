@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from tokpress.core import (
     ShapeError,
     _accepts,
     index_set,
+    sq_norms,
     token_matrix,
 )
 from tokpress.similarity import relevance_scores
@@ -58,6 +61,26 @@ class TestTokenMatrix:
     def test_float32_view_not_copied(self):
         src = np.ones((2, 2), dtype=np.float32)
         assert token_matrix(src) is src
+
+
+class TestSqNorms:
+    def test_overflowing_float32_norm_is_inf_without_a_warning(self):
+        # callers test the norms for finiteness, so an overflow is an answer, not a warning
+        row = np.full((1, 3), 3e38, dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sq_norms(row).tolist() == [np.inf]
+
+    @given(st.integers(0, 2048), st.sampled_from([np.float32, np.float64]), st.integers(0, 7), st.integers(0, 2**32))
+    def test_equal_rows_get_bitwise_equal_norms(self, half, dtype, offset, seed):
+        # odd widths start the rows of a flat buffer at every alignment, and offset shifts them all
+        width = 2 * half + 1
+        row = np.random.default_rng(seed).standard_normal(width).astype(dtype)
+        rows = np.empty(offset + 3 * width, dtype)[offset:].reshape(3, width)
+        rows[...] = row
+        norms = np.concatenate([sq_norms(rows), sq_norms(row[None]), sq_norms(np.vstack([row, -row]))])
+        assert norms.dtype == dtype
+        assert np.unique(norms.view(f"u{norms.itemsize}")).size == 1
 
 
 class TestIndexSet:

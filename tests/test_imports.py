@@ -5,7 +5,8 @@ binds exists, the exports derived from ``__init__``'s imports hold no
 stray name, no library module rebinds a module-level name from a
 function, every module-level name the library defines is exported or
 read somewhere in it, no library module writes a file except through
-``tokenfile._overwrite``, and the library stays within its line budget.
+``tokenfile._overwrite``, every stage module imports nothing from the
+package but ``core``, and the library stays within its line budget.
 
 Deleting code tends to leave its imports behind, its name in other
 places, and the tables only it read; this catches them. The package
@@ -35,7 +36,7 @@ REPO = Path(__file__).resolve().parent.parent
 SPANS = REPO / "perfbench" / "spans.py"
 SCRIPTS = sorted(REPO.glob("tests/*.py")) + sorted(REPO.glob("demos/*.py"))
 # the most lines src/tokpress/*.py may hold; a change that raises it says so in CHANGES.md
-LINE_BUDGET = 1763
+LINE_BUDGET = 1765
 
 
 def unused_imports(source: str) -> list[str]:
@@ -137,6 +138,48 @@ def test_guard_sees_file_writes():
         "line 6: os.open", "line 8: open",
     ]  # fmt: skip
     assert file_writes(source, exempt="_overwrite") == file_writes(source)[:-1]
+
+
+def package_imports(source: str) -> list[str]:
+    """``line N: module`` for each package module ``source`` imports, as ``.core`` or ``tokpress.core``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            modules = [base] if node.module else [base + alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"line {node.lineno}: {m}" for m in modules if m.startswith(".") or m.split(".")[0] == "tokpress"]
+    return found
+
+
+def stray_package_imports(source: str) -> list[str]:
+    return [line for line in package_imports(source) if not line.endswith((": .core", ": tokpress.core"))]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in ("pipeline.py", "cli.py")], ids=lambda p: p.name
+)
+def test_stage_modules_import_only_core(path):
+    # the stages depend on core alone; the pipeline and the CLI are the only modules that compose them
+    assert stray_package_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_package_imports():
+    source = (
+        "import os\n"
+        "import tokpress.cli\n"
+        "from . import merge, core\n"
+        "from .core import _BLOCK, sq_norms\n"
+        "from tokpress.similarity import _relevance\n"
+        "from numpy import linalg\n"
+    )
+    assert package_imports(source) == [
+        "line 2: tokpress.cli", "line 3: .merge", "line 3: .core", "line 4: .core", "line 5: tokpress.similarity",
+    ]  # fmt: skip
+    assert stray_package_imports(source) == ["line 2: tokpress.cli", "line 3: .merge", "line 5: tokpress.similarity"]
 
 
 def third_party_imports(source: str) -> set[str]:

@@ -205,12 +205,12 @@ class TestImageNormsFromValidation:
 
     @pytest.mark.parametrize("stage", ["anchor_mask", "prune_stage", "run_pipeline"])
     def test_image_read_once_for_validation_and_anchor_norms(self, monkeypatch, stage):
-        # every einsum (how sq_norms reads) or matmul (how the scan takes norms and products)
-        # that reads e_img's memory takes one block of its rows: each block by two matmuls in a
-        # row, its norms and its screen products, and the blocks in order take each row once;
-        # finiteness is decided from those norms, so isfinite never reads a clean e_img
+        # every einsum or matmul (how sq_norms and the scan's products read) that reads e_img's
+        # memory takes one block of its rows: each block by two matmuls in a row, its norms and
+        # its screen products, and the blocks in order take each row once; finiteness is
+        # decided from those norms, so isfinite never reads a clean e_img
         load = generate_workload(WorkloadSpec(grid=PatchGrid(2, 16, 16), embed_dim=4096, seed=16))
-        e_img, step = load.e_img, similarity._BLOCK // (4 * 4096)
+        e_img, step = load.e_img, core._BLOCK // (4 * 4096)
         reads = []
 
         def counted(name, fn):
@@ -310,7 +310,7 @@ class TestBlockedScan:
     def scene(d, n):
         # language rows near the first and last row of each of the first two blocks and
         # near the last row, and one random row
-        e_img, b = rand_rows(n, d, n), similarity._BLOCK // (4 * d)
+        e_img, b = rand_rows(n, d, n), core._BLOCK // (4 * d)
         near = sorted({r for r in (0, b - 1, b, 2 * b - 1, n - 1) if r < n})
         e_lang = np.vstack([e_img[near] + 0.3 * rand_rows(len(near), d, d), rand_rows(1, d, n + d)])
         return e_img, e_lang, PatchGrid(1, 1, n)
