@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import BinaryMask, ParameterError, PatchGrid, RngState, _check_integer
-from .costmodel import BackboneSpec, TokenSchedule, relative_flops, schedule_flops
+from .costmodel import DEFAULT_BACKBONE, BackboneSpec, TokenSchedule, relative_flops, schedule_flops
 from .expand import ExpandParams, expand_mask
 from .merge import MergeParams
 from .pipeline import CompressionConfig, merge_stage, prune_stage, run_pipeline
@@ -206,6 +206,7 @@ def _cmd_pipeline(args) -> list[str]:
 
 
 def _cmd_cost(args) -> list[str]:
+    _check_integer(args.non_visual, "--non-visual", 0)  # before the schedules, whose errors name their text
     spec = BackboneSpec(layers=args.layers, hidden_dim=args.hidden_dim, ff_dim=args.ff_dim)
     baseline = parse_schedule(args.baseline, args.layers, args.non_visual)
     candidate = parse_schedule(args.candidate, args.layers, args.non_visual)
@@ -321,10 +322,10 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cost", parents=[mirrors], help="FLOPs of candidate schedule relative to baseline")
     p.add_argument("--baseline", required=True, help="flat:N or step:KEPT,MERGED@LAYER")
     p.add_argument("--candidate", required=True, help="flat:N or step:KEPT,MERGED@LAYER")
-    p.add_argument("--layers", type=int, default=32)
+    p.add_argument("--layers", type=int, default=DEFAULT_BACKBONE.layers)
     p.add_argument("--non-visual", type=int, default=0)
-    p.add_argument("--hidden-dim", type=int, default=4096)
-    p.add_argument("--ff-dim", type=int, default=11008)
+    p.add_argument("--hidden-dim", type=int, default=DEFAULT_BACKBONE.hidden_dim)
+    p.add_argument("--ff-dim", type=int, default=DEFAULT_BACKBONE.ff_dim)
     p.set_defaults(func=_cmd_cost)
 
     p = sub.add_parser("gen", parents=[mirrors], help="write a synthetic planted-foreground workload")

@@ -78,9 +78,9 @@ def _matrix(data, name: str) -> np.ndarray:
     return arr
 
 
-def _finite(arr: np.ndarray, sq: np.ndarray, name: str) -> None:
+def _finite(arr: np.ndarray, sq: np.ndarray, name, error=ParameterError, what="non-finite values are not allowed"):
     if not np.isfinite(sq).all() and not np.isfinite(arr).all():  # sq, squared row norms, can overflow float32
-        raise ParameterError(f"{name}: non-finite values are not allowed")
+        raise error(f"{name}: {what}")
 
 
 def _tokens(data, name: str, width: int | None = None, nonempty: bool = False) -> np.ndarray:
@@ -102,6 +102,12 @@ def sq_norms(rows: np.ndarray) -> np.ndarray:
         return np.matmul(rows[:, None], rows[:, :, None]).reshape(-1)
 
 
+def _row_blocks(rows: int, width: int, itemsize: int) -> list[slice]:
+    """Slices of ``rows`` rows of ``width * itemsize`` bytes, in order: ``_BLOCK`` bytes at most, or one row."""
+    step = max(1, _BLOCK // (itemsize * width))
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
 def index_set(indices, *, limit: int | None = None, name: str = "indices") -> np.ndarray:
     """Sorted unique int64 token indices, checked against ``limit`` when given.
 
@@ -110,13 +116,14 @@ def index_set(indices, *, limit: int | None = None, name: str = "indices") -> np
     arr = np.asarray(indices)
     if arr.size and arr.dtype.kind not in "iu":
         raise ParameterError(f"{name}: indices must be integers, got dtype {arr.dtype}")
-    arr = np.unique(arr.astype(np.int64, copy=False))
+    arr = np.unique(arr)  # checked before the int64 cast, which would wrap uint64 values from 2**63 on
+    limit = 2**63 if limit is None else limit
     if arr.size:
         if arr[0] < 0:
             raise GridRangeError(f"{name}: negative index {arr[0]}")
-        if limit is not None and arr[-1] >= limit:
+        if arr[-1] >= limit:
             raise GridRangeError(f"{name}: index {arr[-1]} out of range for {limit} tokens")
-    return arr
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

@@ -58,9 +58,10 @@ class TokenSchedule:
         if counts.dtype.kind not in "iu":  # _check_integer for a whole array: no floats, no bools
             raise ParameterError(f"TokenSchedule.visual_counts must be integers, got dtype {counts.dtype}")
         object.__setattr__(self, "non_visual", _check_integer(self.non_visual, "TokenSchedule.non_visual", 0))
-        counts = counts.astype(np.int64)
-        if counts.min() < 0:
+        if counts.min() < 0:  # both checks before the int64 cast, which would wrap uint64 counts from 2**63 on
             raise ParameterError("TokenSchedule.visual_counts must be non-negative")
+        _check_integer(int(counts.max()), "TokenSchedule.visual_counts", 0, 2**63 - 1)
+        counts = counts.astype(np.int64)
         if np.any(np.diff(counts) > 0):
             raise ParameterError("visual counts may only step down across layers")
         counts.setflags(write=False)
@@ -87,8 +88,7 @@ class TokenSchedule:
 
 def layer_flops(n: int, spec: BackboneSpec = DEFAULT_BACKBONE) -> int:
     """Flops of one layer at sequence length n (exact integer)."""
-    _check_integer(n, "n", 0)
-    n, d, d_ff = int(n), spec.hidden_dim, spec.ff_dim
+    n, d, d_ff = _check_integer(n, "n", 0), spec.hidden_dim, spec.ff_dim
     return 8 * n * d * d + 4 * n * n * d + 4 * n * d * d_ff
 
 

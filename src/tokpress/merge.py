@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BLOCK, ParameterError, ShapeError, _check_integer, _tokens, index_set, sq_norms, token_matrix
+from .core import ParameterError, ShapeError, _check_integer, _row_blocks, _tokens, index_set, sq_norms, token_matrix
 
 MODES = ("soft", "hard")
 #: added to the mean square in every RMS scale, so zero rows stay at zero;
@@ -142,11 +142,9 @@ def _fold(sources, s_sq, targets, t_sq, mode: str, out: np.ndarray) -> np.ndarra
     if wide:
         out[...] = merged
     t_min, t_max = targets.min(axis=0), targets.max(axis=0)
-    step = max(1, _BLOCK // (4 * out.shape[1]))  # the hull clamp's float32 blocks, as the e_img scan's
-    for i in range(0, out.shape[0], step):
-        rows, src = out[i : i + step], sources[i : i + step]
-        np.maximum(rows, np.minimum(src, t_min), out=rows)
-        np.minimum(rows, np.maximum(src, t_max), out=rows)
+    for b in _row_blocks(*out.shape, 4):  # the hull clamp's float32 blocks, as the e_img scan's
+        np.maximum(out[b], np.minimum(sources[b], t_min), out=out[b])
+        np.minimum(out[b], np.maximum(sources[b], t_max), out=out[b])
     return absorbed
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    _BLOCK,
     BinaryMask,
     GridRangeError,
     ParameterError,
@@ -25,6 +24,7 @@ from .core import (
     _check_integer,
     _finite,
     _matrix,
+    _row_blocks,
     _tokens,
     sq_norms,
 )
@@ -45,12 +45,11 @@ def _screened(e_img, e_lang) -> tuple[np.ndarray, np.ndarray, tuple]:
     e_img = _matrix(e_img, "e_img")
     e_lang = _tokens(e_lang, "e_lang", e_img.shape[1], nonempty=True)
     scaled = np.ldexp(e_lang, -np.frexp(np.abs(e_lang).max(axis=1))[1][:, None])
-    n, step = e_img.shape[0], max(1, _BLOCK // (4 * e_img.shape[1]))
-    sq, dots = np.empty(n, np.float32), np.empty((n, scaled.shape[0]), np.float32)
+    sq, dots = np.empty(len(e_img), np.float32), np.empty((len(e_img), len(scaled)), np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, n, step):
-            sq[i : i + step] = sq_norms(e_img[i : i + step])
-            np.matmul(e_img[i : i + step], scaled.T, out=dots[i : i + step])
+        for b in _row_blocks(*e_img.shape, 4):
+            sq[b] = sq_norms(e_img[b])
+            np.matmul(e_img[b], scaled.T, out=dots[b])
     _finite(e_img, sq, "e_img")
     return e_img, e_lang, (np.sqrt(sq_norms(scaled.astype(np.float64))), sq, dots)
 
@@ -106,12 +105,12 @@ def anchor_mask(e_lang, e_img, grid: PatchGrid) -> BinaryMask:
 
 def _relevance(rows: np.ndarray, idx: np.ndarray, guides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # float32 scores of rows[idx] and their float64 squared norms, upcast a block at a time
-    guides, step = guides.astype(np.float64), max(1, _BLOCK // (8 * rows.shape[1]))
+    guides = guides.astype(np.float64)
     dots, sq = np.empty((idx.size, guides.shape[0])), np.empty(idx.size)
-    for i in range(0, idx.size, step):
-        block = rows[idx[i : i + step]].astype(np.float64)
-        sq[i : i + step] = sq_norms(block)
-        np.matmul(block, guides.T, out=dots[i : i + step])
+    for b in _row_blocks(idx.size, rows.shape[1], 8):
+        block = rows[idx[b]].astype(np.float64)
+        sq[b] = sq_norms(block)
+        np.matmul(block, guides.T, out=dots[b])
     return _cosine(dots, sq, sq_norms(guides)).max(axis=1).astype(np.float32), sq
 
 

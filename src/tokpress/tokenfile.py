@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from .core import BinaryMask, ParameterError, sq_norms, token_matrix
+from .core import BinaryMask, ParameterError, _finite, sq_norms, token_matrix
 
 MAGIC = b"TKB1"
 _HEADER = struct.Struct("<4sII")
@@ -90,9 +90,7 @@ def read_tokens(path) -> np.ndarray:
         data = np.empty((rows, cols), dtype="<f4")
         if f.readinto(data) != data.nbytes:  # the file shrank after its size was read
             raise SizeError(f"{path}: payload ends early, header implies {expected} bytes")
-    # a NaN or inf makes its row's norm non-finite; so can float32 overflow, which the full scan rules out
-    if not np.isfinite(sq_norms(data)).all() and not np.isfinite(data).all():
-        raise PayloadError(f"{path}: payload contains non-finite values")
+    _finite(data, sq_norms(data), path, PayloadError, "payload contains non-finite values")
     return data.astype(np.float32, copy=False)
 
 

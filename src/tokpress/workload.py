@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BLOCK, BinaryMask, CounterStream, ParameterError, PatchGrid, RngState, _check_integer, _check_real
+from .core import BinaryMask, CounterStream, ParameterError, PatchGrid, RngState, _check_integer, _check_real
+from .core import _row_blocks
 
 
 @dataclass(frozen=True)
@@ -125,11 +126,10 @@ def generate_workload(spec: WorkloadSpec) -> Workload:
     bg = coeffs @ bg_basis.T
     # unit rows, a cache-sized block at a time; the row sums are np.linalg.norm's own
     # reduction, so the bits match it
-    step = max(1, _BLOCK // (8 * spec.embed_dim))
-    for i in range(0, bg.shape[0], step):
-        blk = bg[i : i + step]
+    for b in _row_blocks(*bg.shape, 8):
+        blk = bg[b]
         norm = np.sqrt(np.add.reduce(blk * blk, axis=1, keepdims=True))
-        e_img[bg_cells[i : i + step]] = blk / np.maximum(norm, 1e-30)
+        e_img[bg_cells[b]] = blk / np.maximum(norm, 1e-30)
 
     if n_fg:
         n_anchor = max(1, math.floor(spec.anchor_fraction * n_fg))

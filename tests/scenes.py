@@ -11,7 +11,8 @@ one of the ways ``CORRUPTIONS`` lists. ``EDGE_SCENES`` are fixed scenes at
 the edges of what the pipeline accepts, for the property tests' explicit
 examples. ``BLOCK_EDGES`` and ``SCAN_EDGES`` are (width, row count) pairs
 around the block size of the relevance upcast and of the anchor screen's
-scan. ``mask_of`` builds a mask from token indices.
+scan, which ``rows_per_block`` reads from ``core``. ``mask_of`` builds a mask
+from token indices.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ import dataclasses
 import numpy as np
 from hypothesis import strategies as st
 
-from tokpress.core import _BLOCK, BinaryMask, PatchGrid
+from tokpress.core import BinaryMask, PatchGrid, _row_blocks
 from tokpress.expand import ExpandParams
 from tokpress.merge import MergeParams
 from tokpress.pipeline import CompressionConfig
@@ -61,8 +62,13 @@ def _edge_scenes():
 EDGE_SCENES = _edge_scenes()
 
 
+def rows_per_block(d: int, itemsize: int) -> int:
+    """Rows of width ``d`` and ``itemsize``-byte items in each full block of the library's blocked passes."""
+    return _row_blocks(1, d, itemsize)[0].stop
+
+
 def _block_edges(d: int, itemsize: int) -> list[tuple[int, int]]:
-    b = _BLOCK // (itemsize * d)  # rows per block
+    b = rows_per_block(d, itemsize)
     return [(d, n) for n in (1, b - 1, b, b + 1, 3 * b + 5)]
 
 

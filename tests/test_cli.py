@@ -16,7 +16,7 @@ from scenes import CORRUPTIONS, EDGE_SCENES, REACH_STAGE_ONE, corrupt_scenes, sm
 from tokpress import cli, pipeline
 from tokpress.cli import CONFIG_KEYS, load_config, main, parse_grid, parse_schedule
 from tokpress.core import ParameterError, ShapeError
-from tokpress.expand import ExpandParams
+from tokpress.expand import ExpandParams, expand_mask
 from tokpress.merge import MergeParams
 from tokpress.pipeline import CompressionConfig, run_pipeline
 from tokpress.tokenfile import read_tokens, write_tokens
@@ -419,6 +419,10 @@ class TestSubcommands:
         err = "error: schedule 'flat:-1': TokenSchedule.visual_counts must be non-negative\n"
         assert capsys.readouterr().err == err
 
+    def test_cost_non_visual_range_error_names_the_option(self, capsys):
+        assert main(["cost", "--baseline", "flat:1", "--candidate", "flat:1", "--non-visual=-1"]) == 1
+        assert capsys.readouterr().err == "error: --non-visual must lie in [0, inf), got -1\n"
+
     def test_cost_identity_ratio(self, capsys):
         code = main(["cost", "--baseline", "flat:576", "--candidate", "flat:576"])
         assert code == 0
@@ -475,6 +479,23 @@ class TestSubcommands:
         rep = report_dict(capsys.readouterr().out)
         assert rep["stage"] == stage and rep["reps"] == "3"
         assert 0 < float(rep["p50_ms"]) <= float(rep["p95_ms"])
+
+    def test_bench_reads_its_config(self, tmp_path, monkeypatch, capsys):
+        # the sparse-flip timing the README quotes runs at {"kernel_size": 5, "tau": 6} on a 3x24x24 grid
+        path = tmp_path / "cfg.json"
+        path.write_text('{"kernel_size": 5, "tau": 6}')
+        seen = []
+
+        def expand(mask, params, rng):
+            seen.append((mask.grid.shape, params))
+            return expand_mask(mask, params, rng)
+
+        monkeypatch.setattr(cli, "expand_mask", expand)
+        assert main(["bench", "--stage", "expand", "--grid", "3x24x24", "--reps", "3", "--config", str(path)]) == 0
+        rep = report_dict(capsys.readouterr().out)
+        assert list(rep) == ["stage", "reps", "mean_ms", "p50_ms", "p95_ms"]
+        assert (rep["stage"], rep["reps"]) == ("expand", "3")
+        assert set(seen) == {((3, 24, 24), ExpandParams(kernel_size=5, threshold=6))}
 
     def test_report_and_json_mirrors(self, workload_dir, config_path, tmp_path, capsys):
         rep_path = tmp_path / "rep.txt"

@@ -16,6 +16,7 @@ from tokpress.core import (
     RngState,
     ShapeError,
     _accepts,
+    _row_blocks,
     index_set,
     sq_norms,
     token_matrix,
@@ -83,6 +84,18 @@ class TestSqNorms:
         assert np.unique(norms.view(f"u{norms.itemsize}")).size == 1
 
 
+class TestRowBlocks:
+    # 256 KB blocks: 16 float32 or 8 float64 rows at d=4096, and one row when a row is larger
+    @pytest.mark.parametrize(
+        "rows,width,itemsize,size",
+        [(512, 4096, 4, 16), (517, 4096, 8, 8), (300, 64, 4, 1024), (3, 2**17, 4, 1), (0, 64, 8, 512)],
+    )
+    def test_blocks_of_one_size_cover_the_rows_in_order(self, rows, width, itemsize, size):
+        blocks = _row_blocks(rows, width, itemsize)
+        assert [i for b in blocks for i in range(rows)[b]] == list(range(rows))
+        assert {b.stop - b.start for b in blocks} <= {size}
+
+
 class TestIndexSet:
     def test_sorts_and_dedups(self):
         assert index_set([5, 1, 5, 3]).tolist() == [1, 3, 5]
@@ -98,6 +111,11 @@ class TestIndexSet:
 
     def test_empty(self):
         assert index_set([]).size == 0
+
+    def test_uint64_past_int64_is_out_of_range_not_negative(self):
+        # the range checks read the values before the int64 cast, which would wrap 2**64 - 1 to -1
+        with pytest.raises(GridRangeError, match="^indices: index 18446744073709551615 out of range for 10 tokens$"):
+            index_set(np.array([2**64 - 1], np.uint64), limit=10)
 
     @pytest.mark.parametrize("bad", [[1.5, 2.7], [1.0, 2.0], np.array([True, False, True])])
     def test_non_integer_dtype_rejected(self, bad):

@@ -90,6 +90,12 @@ class TestTokenSchedule:
         with pytest.raises(ParameterError):
             TokenSchedule(np.array([5, 5]), non_visual=-1)
 
+    def test_uint64_count_past_int64_is_out_of_range_not_negative(self):
+        # the checks read the counts before the int64 cast, which would wrap 2**63 to -2**63
+        msg = r"^TokenSchedule.visual_counts must lie in \[0, 9223372036854775807\], got 9223372036854775808$"
+        with pytest.raises(ParameterError, match=msg):
+            TokenSchedule(np.array([2**63, 5], np.uint64))
+
 
 class TestLayerFlops:
     def test_zero_tokens(self):

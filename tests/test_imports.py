@@ -6,7 +6,8 @@ stray name, no library module rebinds a module-level name from a
 function, every module-level name the library defines is exported or
 read somewhere in it, no library module writes a file except through
 ``tokenfile._overwrite``, every stage module imports nothing from the
-package but ``core``, and the library stays within its line budget.
+package but ``core``, no library module but ``core`` reads the block size
+``_BLOCK``, and the library stays within its line budget.
 
 Deleting code tends to leave its imports behind, its name in other
 places, and the tables only it read; this catches them. The package
@@ -36,7 +37,7 @@ REPO = Path(__file__).resolve().parent.parent
 SPANS = REPO / "perfbench" / "spans.py"
 SCRIPTS = sorted(REPO.glob("tests/*.py")) + sorted(REPO.glob("demos/*.py"))
 # the most lines src/tokpress/*.py may hold; a change that raises it says so in CHANGES.md
-LINE_BUDGET = 1765
+LINE_BUDGET = 1768
 
 
 def unused_imports(source: str) -> list[str]:
@@ -180,6 +181,38 @@ def test_guard_sees_package_imports():
         "line 2: tokpress.cli", "line 3: .merge", "line 3: .core", "line 4: .core", "line 5: tokpress.similarity",
     ]  # fmt: skip
     assert stray_package_imports(source) == ["line 2: tokpress.cli", "line 3: .merge", "line 5: tokpress.similarity"]
+
+
+def block_reads(source: str) -> list[str]:
+    """``line N: _BLOCK`` for each import, bare read or attribute read of ``_BLOCK`` in ``source``, in line order."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name | ast.Attribute):
+            names = [node.id if isinstance(node, ast.Name) else node.attr]
+        else:
+            continue
+        lines += [node.lineno for name in names if name == "_BLOCK"]
+    return [f"line {n}: _BLOCK" for n in sorted(lines)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
+def test_only_core_reads_the_block_size(path):
+    # core._row_blocks is the one block rule; a module that reads _BLOCK writes a second one
+    assert block_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_block_size_reads():
+    source = (
+        "from .core import _BLOCK, sq_norms\n"
+        "from . import core\n"
+        "def f(rows, d):\n"
+        "    step = max(1, core._BLOCK // (4 * d))\n"
+        "    return [sq_norms(rows[i : i + step]) for i in range(0, len(rows), step)], _BLOCK\n"
+        "_BLOCKS = 2\n"
+    )
+    assert block_reads(source) == ["line 1: _BLOCK", "line 4: _BLOCK", "line 5: _BLOCK"]
 
 
 def third_party_imports(source: str) -> set[str]:

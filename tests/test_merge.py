@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from tokpress import merge
+from tokpress import core
 from tokpress.core import ParameterError, ShapeError, sq_norms
 from tokpress.merge import (
     EPSILON,
@@ -187,7 +187,7 @@ class TestSoftMerge:
         # 16 rows at d=4096 by default) cannot change a bit
         s, t = rand((80, d), 44), rand((200, d), 45)
         want, _ = soft_bipartite_merge(s, t, MergeParams(m=80))
-        monkeypatch.setattr(merge, "_BLOCK", 4 * d)
+        monkeypatch.setattr(core, "_BLOCK", 4 * d)
         got, _ = soft_bipartite_merge(s, t, MergeParams(m=80))
         assert got.tobytes() == want.tobytes()
 

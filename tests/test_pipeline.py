@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import oracles
-from scenes import BLOCK_EDGES, EDGE_SCENES, SCAN_EDGES, small_scenes
+from scenes import BLOCK_EDGES, EDGE_SCENES, SCAN_EDGES, rows_per_block, small_scenes
 from tokpress import core, pipeline, similarity
 from tokpress.core import ParameterError, PatchGrid, RngState, ShapeError
 from tokpress.expand import ExpandParams
@@ -210,7 +210,7 @@ class TestImageNormsFromValidation:
         # its screen products, and the blocks in order take each row once; finiteness is
         # decided from those norms, so isfinite never reads a clean e_img
         load = generate_workload(WorkloadSpec(grid=PatchGrid(2, 16, 16), embed_dim=4096, seed=16))
-        e_img, step = load.e_img, core._BLOCK // (4 * 4096)
+        e_img = load.e_img
         reads = []
 
         def counted(name, fn):
@@ -229,7 +229,8 @@ class TestImageNormsFromValidation:
         else:
             args = (load.e_lang, load.guidance) if stage == "run_pipeline" else (load.e_lang,)
             getattr(pipeline, stage)(e_img, *args, load.grid, goal_long())
-        assert reads == [("matmul", start, step) for start in range(0, 512, step) for _ in range(2)]
+        blocks = core._row_blocks(*e_img.shape, 4)
+        assert reads == [("matmul", b.start, len(e_img[b])) for b in blocks for _ in range(2)]
 
     def test_no_product_operator_where_e_img_is_read(self):
         # a product written with @ reads its operands without a call the test above could
@@ -310,7 +311,7 @@ class TestBlockedScan:
     def scene(d, n):
         # language rows near the first and last row of each of the first two blocks and
         # near the last row, and one random row
-        e_img, b = rand_rows(n, d, n), core._BLOCK // (4 * d)
+        e_img, b = rand_rows(n, d, n), rows_per_block(d, 4)
         near = sorted({r for r in (0, b - 1, b, 2 * b - 1, n - 1) if r < n})
         e_lang = np.vstack([e_img[near] + 0.3 * rand_rows(len(near), d, d), rand_rows(1, d, n + d)])
         return e_img, e_lang, PatchGrid(1, 1, n)

@@ -108,6 +108,10 @@ class TestKeepSet:
         with pytest.raises(GridRangeError):
             keep_set(mask_of(PatchGrid(1, 2, 2)), [4])
 
+    def test_uint64_context_past_int64_is_out_of_range_not_negative(self):
+        with pytest.raises(GridRangeError, match="^context: index 9223372036854775808 out of range for 4 tokens$"):
+            keep_set(mask_of(PatchGrid(1, 2, 2)), np.array([2**63], np.uint64))
+
     def test_size_against_set_arithmetic(self):
         grid = PatchGrid(2, 16, 16)
         rng = np.random.default_rng(0)
