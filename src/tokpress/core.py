@@ -64,13 +64,18 @@ def token_matrix(data, *, name: str = "tokens") -> np.ndarray:
     return _tokens(data, name)
 
 
-def _matrix(data, name: str) -> np.ndarray:
+def _real(data, name: str, dtype) -> np.ndarray:
+    """``data`` as a ``dtype`` array, or a ParameterError naming ``name`` unless it holds real numbers only."""
     try:
-        if np.asarray(data).dtype.kind == "c":  # the float32 cast would drop the imaginary parts
+        if np.asarray(data).dtype.kind == "c":  # the cast would drop the imaginary parts
             raise TypeError("complex values")
-        arr = np.ascontiguousarray(data, dtype=np.float32)
-    except (TypeError, ValueError) as exc:
+        return np.asarray(data, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past the float range
         raise ParameterError(f"{name}: values must be real numbers: {exc}") from None
+
+
+def _matrix(data, name: str) -> np.ndarray:
+    arr = np.ascontiguousarray(_real(data, name, np.float32))
     if arr.ndim != 2:
         raise ShapeError(f"{name}: expected a 2-D (tokens x dim) array, got shape {arr.shape}")
     if arr.shape[1] < 1:
@@ -108,15 +113,26 @@ def _row_blocks(rows: int, width: int, itemsize: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 
+def _integers(values, name: str) -> np.ndarray:
+    """``values`` as exact integers, or a ParameterError naming ``name``: an array by its dtype, anything else item
+    by item as ``_check_integer`` judges one, so a ``bool`` is refused and ints past int64 stay exact (as objects)."""
+    if isinstance(values, np.ndarray) and values.size:  # an empty one holds no items, whatever its dtype
+        if values.dtype.kind not in "iu":
+            raise ParameterError(f"{name} must be integers, got dtype {values.dtype}")
+        return values
+    items = np.asarray(values, dtype=object)  # the items as given: numpy reads [3, True] as int64
+    for item in items.flat:
+        if isinstance(item, bool) or not isinstance(item, (int, np.integer)):
+            raise ParameterError(f"{name} must be integers, got {item!r}")
+    return items
+
+
 def index_set(indices, *, limit: int | None = None, name: str = "indices") -> np.ndarray:
     """Sorted unique int64 token indices, checked against ``limit`` when given.
 
-    Floats and boolean masks are refused, not truncated or read as indices; ``[]`` (float64) is empty.
+    Floats and bools are refused, not read as indices; Python ints past int64 are range-checked; ``[]`` is empty.
     """
-    arr = np.asarray(indices)
-    if arr.size and arr.dtype.kind not in "iu":
-        raise ParameterError(f"{name}: indices must be integers, got dtype {arr.dtype}")
-    arr = np.unique(arr)  # checked before the int64 cast, which would wrap uint64 values from 2**63 on
+    arr = np.unique(_integers(indices, f"{name}: indices"))  # checked before the int64 cast: it wraps from 2**63 on
     limit = 2**63 if limit is None else limit
     if arr.size:
         if arr[0] < 0:
@@ -251,14 +267,11 @@ class CounterStream:
         self._rng = rng
         self._next = 0
 
-    def u64(self, count: int) -> np.ndarray:
-        out = self._rng.values(self._next, count)
-        self._next += count
-        return out
-
     def uniforms(self, count: int) -> np.ndarray:
         """float64 in [0, 1), 53-bit resolution."""
-        return (self.u64(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        words = self._rng.values(self._next, count)
+        self._next += count
+        return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def normals(self, count: int) -> np.ndarray:
         """Standard normals via Box-Muller on stream uniforms."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, ShapeError, _check_integer
+from .core import ParameterError, ShapeError, _check_integer, _integers
 
 
 @dataclass(frozen=True)
@@ -52,18 +52,16 @@ class TokenSchedule:
     non_visual: int = 0
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.visual_counts)
+        counts = _integers(self.visual_counts, "TokenSchedule.visual_counts")
         if counts.ndim != 1 or counts.size < 1:
-            raise ShapeError("visual_counts must be a non-empty 1-D sequence")
-        if counts.dtype.kind not in "iu":  # _check_integer for a whole array: no floats, no bools
-            raise ParameterError(f"TokenSchedule.visual_counts must be integers, got dtype {counts.dtype}")
+            raise ShapeError("TokenSchedule.visual_counts must be a non-empty 1-D sequence")
         object.__setattr__(self, "non_visual", _check_integer(self.non_visual, "TokenSchedule.non_visual", 0))
         if counts.min() < 0:  # both checks before the int64 cast, which would wrap uint64 counts from 2**63 on
             raise ParameterError("TokenSchedule.visual_counts must be non-negative")
         _check_integer(int(counts.max()), "TokenSchedule.visual_counts", 0, 2**63 - 1)
         counts = counts.astype(np.int64)
         if np.any(np.diff(counts) > 0):
-            raise ParameterError("visual counts may only step down across layers")
+            raise ParameterError("TokenSchedule.visual_counts may only step down across layers")
         counts.setflags(write=False)
         object.__setattr__(self, "visual_counts", counts)
 

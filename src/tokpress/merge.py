@@ -6,7 +6,8 @@ matching matrix built from RMS-normalized dot products, and every source is
 then renormalized by the total weight it received, so well-matched sources
 move toward the targets they absorbed while poorly-matched ones stay put.
 
-The public functions check every input once, with ``core._tokens``, and
+The public functions check every input once, through ``core``'s checks
+(``match_weights`` too: its softmax is the kernel ``_fold`` calls), and
 call private kernels, which do no checks of their own. The kernels take
 float32 rows with their float64 squared norms. Logits are raw dot products
 scaled afterwards by the two rows' RMS factors. ``match_logits`` and hard
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, ShapeError, _check_integer, _row_blocks, _tokens, index_set, sq_norms, token_matrix
+from .core import ParameterError, ShapeError, _check_integer, _finite, _real, _row_blocks, _tokens, index_set, sq_norms
 
 MODES = ("soft", "hard")
 #: added to the mean square in every RMS scale, so zero rows stay at zero;
@@ -66,7 +67,7 @@ def split_source_target(tokens, source) -> tuple[np.ndarray, np.ndarray]:
 
     Both halves keep ascending original order.
     """
-    tokens = token_matrix(tokens)
+    tokens = _tokens(tokens, "tokens")
     source = index_set(source, limit=tokens.shape[0], name="source")
     rest = np.setdiff1d(np.arange(tokens.shape[0], dtype=np.int64), source, assume_unique=True)
     return tokens[source], tokens[rest]
@@ -88,19 +89,25 @@ def match_logits(sources, targets) -> np.ndarray:
     return _logits(sources, sq_norms(sources), targets, sq_norms(targets))
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    # row-wise, shifted by each row's max so that no exp overflows
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    e /= e.sum(axis=1, keepdims=True)
+    return e
+
+
 def match_weights(logits, mode: str = "soft") -> np.ndarray:
-    """Row-stochastic matching matrix from logits.
+    """Row-stochastic matching matrix from finite logits, at least one column wide.
 
     Soft mode is a row-wise softmax; hard mode puts the full unit weight on
     each row's argmax column (ties to the lower index).
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be 2-D, got shape {logits.shape}")
+    logits = _real(logits, "logits", np.float64)
+    if logits.ndim != 2 or logits.shape[1] < 1:
+        raise ShapeError(f"logits must be 2-D with at least one column, got shape {logits.shape}")
+    _finite(logits, logits, "logits")
     if mode == "soft":
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        e /= e.sum(axis=1, keepdims=True)
-        return e
+        return _softmax(logits)
     if mode == "hard":
         w = np.zeros_like(logits)
         w[np.arange(logits.shape[0]), np.argmax(logits, axis=1)] = 1.0
@@ -133,7 +140,7 @@ def _fold(sources, s_sq, targets, t_sq, mode: str, out: np.ndarray) -> np.ndarra
         absorbed = np.bincount(owner, minlength=sources.shape[0]).astype(np.float64)
         np.divide(sources, (1.0 + absorbed)[:, None], out=out)
         return absorbed
-    w = match_weights(logits, mode)
+    w = _softmax(logits)
     absorbed = w.sum(axis=0)
     merged = np.empty(sources.shape) if wide else out
     np.matmul(w.astype(merged.dtype, copy=False).T, targets, out=merged)

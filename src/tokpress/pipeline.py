@@ -14,7 +14,6 @@ mid-layer activations can drive merge_stage directly.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass, field
 
@@ -137,7 +136,7 @@ def _visual_span(visual_range, rows: int) -> tuple[int, int]:
     if isinstance(span, range):  # a two-element range of another step is no span
         span = (span.start, span.stop) if span.step == 1 else ()
     try:
-        start, stop = (operator.index(i) for i in span)
+        start, stop = (_check_integer(i, "visual_range") for i in span)
     except (TypeError, ValueError):
         raise ParameterError(
             f"visual_range: expected a (start, stop) pair of integers, got {visual_range!r}"

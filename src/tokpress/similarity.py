@@ -4,7 +4,7 @@ Anchors seed the stage-one mask: each language token votes for the image
 patch it is most similar to. The same machinery scores image tokens against
 an arbitrary guidance set to pick merge sources.
 
-Public functions check every input once, with ``core._tokens`` (or
+Public functions check every input once, through ``core``'s checks (or
 ``_screened`` on the anchor path), and call private kernels, which the
 pipeline stages call directly. Kernels do no checks of their own, apart
 from the grid row count of ``_anchor_mask``. Scores come from one float64
@@ -18,12 +18,12 @@ import numpy as np
 from .core import (
     BinaryMask,
     GridRangeError,
-    ParameterError,
     PatchGrid,
     ShapeError,
     _check_integer,
     _finite,
     _matrix,
+    _real,
     _row_blocks,
     _tokens,
     sq_norms,
@@ -138,11 +138,10 @@ def top_m(scores, m: int) -> np.ndarray:
     input.
     """
     _check_integer(m, "m")
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _real(scores, "scores", np.float64)
     if scores.ndim != 1:
         raise ShapeError(f"scores must be 1-D, got shape {scores.shape}")
-    if scores.size and not np.isfinite(scores).all():
-        raise ParameterError("scores must be finite")
+    _finite(scores, scores, "scores")
     if not 0 <= m <= scores.size:
         raise GridRangeError(f"m {m} out of range [0, {scores.size}]")
     return _top_m(scores, m)

@@ -117,6 +117,18 @@ class TestIndexSet:
         with pytest.raises(GridRangeError, match="^indices: index 18446744073709551615 out of range for 10 tokens$"):
             index_set(np.array([2**64 - 1], np.uint64), limit=10)
 
+    def test_python_int_past_int64_is_out_of_range_not_a_float(self):
+        # numpy reads [2**63, 5] as float64; the list's ints are checked as given
+        with pytest.raises(GridRangeError, match="^indices: index 9223372036854775808 out of range for 10 tokens$"):
+            index_set([2**63, 5], limit=10)
+        with pytest.raises(GridRangeError, match="^indices: negative index -1$"):
+            index_set([np.uint64(5), -1])
+        assert index_set([2**63 - 1, np.uint64(5)]).tolist() == [5, 2**63 - 1]
+
+    def test_bool_in_a_list_refused(self):
+        with pytest.raises(ParameterError, match="^indices: indices must be integers, got True$"):
+            index_set([3, True], limit=10)
+
     @pytest.mark.parametrize("bad", [[1.5, 2.7], [1.0, 2.0], np.array([True, False, True])])
     def test_non_integer_dtype_rejected(self, bad):
         with pytest.raises(ParameterError, match="^context: indices must be integers"):
@@ -316,5 +328,5 @@ class TestCounterStream:
     def test_stream_is_deterministic(self):
         a = CounterStream(RngState(42))
         b = CounterStream(RngState(42))
-        assert np.array_equal(a.u64(64), b.u64(64))
+        assert np.array_equal(a.uniforms(64), b.uniforms(64))
         assert a.below(17) == b.below(17)

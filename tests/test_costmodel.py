@@ -96,6 +96,18 @@ class TestTokenSchedule:
         with pytest.raises(ParameterError, match=msg):
             TokenSchedule(np.array([2**63, 5], np.uint64))
 
+    def test_python_int_past_int64_is_out_of_range_not_a_float(self):
+        # numpy reads both lists as float64; their ints are checked as given
+        msg = r"^TokenSchedule.visual_counts must lie in \[0, 9223372036854775807\], got 9223372036854775808$"
+        with pytest.raises(ParameterError, match=msg):
+            TokenSchedule([2**63, 5])
+        with pytest.raises(ParameterError, match="^TokenSchedule.visual_counts must be non-negative$"):
+            TokenSchedule([np.uint64(5), -1])
+
+    def test_bool_in_a_list_refused(self):
+        with pytest.raises(ParameterError, match="^TokenSchedule.visual_counts must be integers, got True$"):
+            TokenSchedule([3, True])
+
 
 class TestLayerFlops:
     def test_zero_tokens(self):

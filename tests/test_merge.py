@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,26 @@ class TestSoftMerge:
     def test_weights_need_2d_logits(self, logits):
         with pytest.raises(ShapeError, match="logits must be 2-D"):
             match_weights(logits)
+
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    def test_weights_need_a_column(self, mode):
+        with pytest.raises(ShapeError, match=r"^logits must be 2-D with at least one column, got shape \(2, 0\)$"):
+            match_weights(np.zeros((2, 0)), mode)
+
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    def test_weights_refuse_complex_logits(self, mode):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the float64 cast would drop the imaginary part with a ComplexWarning
+            with pytest.raises(ParameterError, match="^logits: values must be real numbers"):
+                match_weights(np.array([[1 + 5j, 2.0]]), mode)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_weights_refuse_non_finite_logits(self, bad):
+        with pytest.raises(ParameterError, match="^logits: non-finite values are not allowed$"):
+            match_weights([[bad, 1.0]])
+
+    def test_weights_keep_empty_target_rows(self):
+        assert match_weights(np.zeros((0, 3))).shape == match_weights(np.zeros((0, 3)), "hard").shape == (0, 3)
 
     def test_weights_unknown_mode(self):
         with pytest.raises(ParameterError, match="mode must be one of"):

@@ -434,6 +434,12 @@ class TestMergeStage:
         with pytest.raises(ShapeError, match="^guidance: embedding width 10, expected 64$"):
             merge_stage(load.e_img[:50], wide(3), (0, 50), goal_long(merge=MergeParams(m=8)))
 
+    def test_bool_span_ends_refused(self):
+        load = load_2view(10)
+        message = r"^visual_range: expected a \(start, stop\) pair of integers, got \(False, True\)$"
+        with pytest.raises(ParameterError, match=message):
+            merge_stage(load.e_img[:64], load.guidance, (False, True), goal_long(merge=MergeParams(m=16)))
+
     def test_range_forms(self):
         load = load_2view(10)
         config = goal_long(merge=MergeParams(m=16))

@@ -2,7 +2,9 @@
 
 One property feeds each parameter below integers (Python and numpy, negatives included), floats
 (Python and numpy, with NaN and infinities), fractions, bools, None and strings. A call either
-returns, or raises a tokpress error whose message starts with the parameter's name.
+returns, or raises a tokpress error whose message starts with the parameter's name. A second
+property does the same for the inputs that take a list or an array of numbers: scores, logits,
+index sets, schedule counts and span ends.
 """
 
 import math
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tokpress import (
     BackboneSpec,
@@ -28,7 +31,10 @@ from tokpress import (
     WorkloadSpec,
     context_indices,
     density_map,
+    index_set,
     layer_flops,
+    match_weights,
+    merge_stage,
     top_m,
 )
 
@@ -101,5 +107,58 @@ VALUES = st.one_of(
 def test_scalar_ends_in_result_or_named_error(name, call, value):
     try:
         call(value)
+    except (ParameterError, ShapeError, GridRangeError) as exc:
+        assert str(exc).startswith(name), f"{name}: {exc}"
+
+
+#: a sequence of 6 rows whose span ends the visual_range case reads
+HIDDEN = np.arange(24, dtype=np.float32).reshape(6, 4)
+CONFIG = CompressionConfig(merge=MergeParams(m=2))
+
+#: (the name each message must start with, a call that feeds the list or array to that input)
+ARRAY_CASES = [
+    ("scores", lambda x: top_m(x, 0)),
+    ("logits", lambda x: match_weights([x])),
+    ("indices", lambda x: index_set(x, limit=40)),
+    ("TokenSchedule.visual_counts", lambda x: TokenSchedule(x)),
+    ("visual_range", lambda x: merge_stage(HIDDEN, HIDDEN[:2], x, CONFIG)),
+]
+
+ITEMS = st.one_of(
+    st.integers(-3, 40),
+    st.integers(2**63, 2**70),  # past int64: numpy reads a list that mixes them with small ints as float64
+    st.integers(-(2**70), -(2**63) - 1),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.booleans(),
+    st.floats(),
+    st.complex_numbers(),
+    st.text(max_size=3),
+    st.none(),
+)
+ARRAYS = st.one_of(
+    st.lists(ITEMS, max_size=4),
+    st.lists(ITEMS, max_size=4).map(lambda items: np.array(items, dtype=object)),
+    hnp.arrays(
+        st.sampled_from([np.int8, np.int64, np.uint64, np.float32, np.float64, np.complex128, np.bool_]),
+        hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+    ),
+)
+
+
+@pytest.mark.parametrize("name,call", ARRAY_CASES, ids=[name for name, _ in ARRAY_CASES])
+@settings(max_examples=100, deadline=None)
+@given(values=ARRAYS)
+@example(values=[2**63, 5])
+@example(values=[np.uint64(5), -1])
+@example(values=[3, True])
+@example(values=[False, True])
+@example(values=[1 + 5j, 2])
+@example(values=[math.nan, 1.0])
+@example(values=["a"])
+@example(values=[None, 2])
+@example(values=np.zeros((2, 0)))
+def test_array_ends_in_result_or_named_error(name, call, values):
+    try:
+        call(values)
     except (ParameterError, ShapeError, GridRangeError) as exc:
         assert str(exc).startswith(name), f"{name}: {exc}"

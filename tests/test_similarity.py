@@ -361,6 +361,16 @@ class TestTopM:
         with pytest.raises(ParameterError):
             top_m(np.array([0.1, np.nan], dtype=np.float32), 1)
 
+    def test_complex_scores_rejected_not_truncated(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the float64 cast would drop the imaginary part with a ComplexWarning
+            with pytest.raises(ParameterError, match="^scores: values must be real numbers"):
+                top_m(np.array([1 + 5j, 2]), 1)
+
+    def test_non_numeric_scores_name_scores(self):
+        with pytest.raises(ParameterError, match="^scores: values must be real numbers"):
+            top_m(["a"], 1)
+
     @pytest.mark.parametrize("m", [1.5, 2.0, True, np.float64(1)])
     def test_non_integer_m_rejected(self, m):
         with pytest.raises(ParameterError, match="^m must be an integer"):
