@@ -24,7 +24,7 @@ from .core import ParameterError, ShapeError, _check_integer, _integers
 @dataclass(frozen=True)
 class BackboneSpec:
     """Transformer dimensions; the cost formula ignores ``heads``, which stays
-    only because the ``perfbench`` decoder pins it (ROADMAP item 6, "Pinned by the benchmark")."""
+    only because the ``perfbench`` decoder pins it (ROADMAP item 1b unpins it)."""
 
     layers: int = 32
     hidden_dim: int = 4096
@@ -72,7 +72,7 @@ class TokenSchedule:
     @classmethod
     def flat(cls, visual: int, layers: int, non_visual: int = 0) -> "TokenSchedule":
         _check_integer(layers, "layers", 0)  # 0 layers is the empty schedule's ShapeError
-        return cls(np.full(layers, visual), non_visual)
+        return cls([visual] * layers, non_visual)
 
     @classmethod
     def two_stage(
@@ -81,7 +81,7 @@ class TokenSchedule:
         """Kept count up to merge_layer, merged count from there on."""
         _check_integer(layers, "layers", 1)
         _check_integer(merge_layer, "merge_layer", 0, layers - 1)
-        return cls(np.repeat([kept, merged], [merge_layer, layers - merge_layer]), non_visual)
+        return cls([kept] * merge_layer + [merged] * (layers - merge_layer), non_visual)
 
 
 def layer_flops(n: int, spec: BackboneSpec = DEFAULT_BACKBONE) -> int:

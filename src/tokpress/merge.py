@@ -107,7 +107,8 @@ def match_weights(logits, mode: str = "soft") -> np.ndarray:
         raise ShapeError(f"logits must be 2-D with at least one column, got shape {logits.shape}")
     _finite(logits, logits, "logits")
     if mode == "soft":
-        return _softmax(logits)
+        with np.errstate(over="ignore"):  # a row spanning past float64's range shifts to -inf, which exp makes 0
+            return _softmax(logits)
     if mode == "hard":
         w = np.zeros_like(logits)
         w[np.arange(logits.shape[0]), np.argmax(logits, axis=1)] = 1.0

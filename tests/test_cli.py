@@ -419,6 +419,12 @@ class TestSubcommands:
         err = "error: schedule 'flat:-1': TokenSchedule.visual_counts must be non-negative\n"
         assert capsys.readouterr().err == err
 
+    def test_cost_count_past_int64_is_out_of_range(self, capsys):
+        big = "18446744073709551616"
+        assert main(["cost", f"--baseline=flat:{big}", "--candidate", "flat:1", "--layers", "3"]) == 1
+        err = f"TokenSchedule.visual_counts must lie in [0, 9223372036854775807], got {big}\n"
+        assert capsys.readouterr().err == f"error: schedule 'flat:{big}': " + err
+
     def test_cost_non_visual_range_error_names_the_option(self, capsys):
         assert main(["cost", "--baseline", "flat:1", "--candidate", "flat:1", "--non-visual=-1"]) == 1
         assert capsys.readouterr().err == "error: --non-visual must lie in [0, inf), got -1\n"

@@ -61,6 +61,9 @@ class TestIntegerChecks:
         assert TokenSchedule(np.array([3, 2], dtype=np.uint8)).visual_counts.tolist() == [3, 2]
 
 
+_PAST_INT64 = r"must lie in \[0, 9223372036854775807\], got "
+
+
 class TestTokenSchedule:
     def test_flat(self):
         s = TokenSchedule.flat(196, 8, 64)
@@ -107,6 +110,22 @@ class TestTokenSchedule:
     def test_bool_in_a_list_refused(self):
         with pytest.raises(ParameterError, match="^TokenSchedule.visual_counts must be integers, got True$"):
             TokenSchedule([3, True])
+
+    @pytest.mark.parametrize(
+        "call,error,msg",
+        [
+            (lambda: TokenSchedule.two_stage(5, True, 3, 8), ParameterError, "must be integers, got True"),
+            (lambda: TokenSchedule.two_stage(2**63, 1, 3, 8), ParameterError, _PAST_INT64 + "9223372036854775808"),
+            (lambda: TokenSchedule.flat(2**64, 3), ParameterError, _PAST_INT64 + "18446744073709551616"),
+            (lambda: TokenSchedule.flat([1, 2], 3), ShapeError, "must be a non-empty 1-D sequence"),
+            (lambda: TokenSchedule.two_stage([1], 2, 1, 3), ParameterError, r"must be integers, got \[1\]"),
+        ],
+        ids=["bool", "past-int64", "past-uint64", "sequence", "ragged"],
+    )
+    def test_factory_counts_are_judged_item_by_item(self, call, error, msg):
+        # the factories hand their counts in as a list: a bool is no count, and ints past int64 stay exact
+        with pytest.raises(error, match=f"^TokenSchedule.visual_counts {msg}$"):
+            call()
 
 
 class TestLayerFlops:

@@ -38,7 +38,7 @@ REPO = Path(__file__).resolve().parent.parent
 SPANS = REPO / "perfbench" / "spans.py"
 SCRIPTS = sorted(REPO.glob("tests/*.py")) + sorted(REPO.glob("demos/*.py"))
 # the most lines src/tokpress/*.py may hold; a change that raises it says so in CHANGES.md
-LINE_BUDGET = 1784
+LINE_BUDGET = 1785
 
 
 def unused_imports(source: str) -> list[str]:

@@ -265,6 +265,12 @@ class TestSoftMerge:
         with pytest.raises(ParameterError, match="^logits: non-finite values are not allowed$"):
             match_weights([[bad, 1.0]])
 
+    def test_weights_ignore_the_shift_overflow(self):
+        # the row spans past float64's range: its max shift gives -inf, which exp turns into 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert match_weights([[1e308, -1e308]]).tolist() == [[1.0, 0.0]]
+
     def test_weights_keep_empty_target_rows(self):
         assert match_weights(np.zeros((0, 3))).shape == match_weights(np.zeros((0, 3)), "hard").shape == (0, 3)
 
