@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _BLOCK = 2**18  # bytes per block of the blocked passes over rows: 256 KB, so a block stays in cache
+_SPAN = 4  # blocks per span of the e_img scan: 1 MB, so a span's rows stay in L2 from its products to its norms
 
 
 class ShapeError(ValueError):
@@ -107,9 +108,10 @@ def sq_norms(rows: np.ndarray) -> np.ndarray:
         return np.matmul(rows[:, None], rows[:, :, None]).reshape(-1)
 
 
-def _row_blocks(rows: int, width: int, itemsize: int) -> list[slice]:
-    """Slices of ``rows`` rows of ``width * itemsize`` bytes, in order: ``_BLOCK`` bytes at most, or one row."""
-    step = max(1, _BLOCK // (itemsize * width))
+def _row_blocks(rows: int, width: int, itemsize: int, span: bool = False) -> list[slice]:
+    """Slices of ``rows`` rows of ``width * itemsize`` bytes, in order: ``_BLOCK`` bytes at most, or one row;
+    with ``span``, ``_SPAN`` such blocks at a time (the spans of the ``e_img`` scan)."""
+    step = max(1, _BLOCK // (itemsize * width)) * (_SPAN if span else 1)
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 

@@ -176,10 +176,9 @@ def run_pipeline(e_img, e_lang, guidance, grid: PatchGrid, config: CompressionCo
     from there on. Language tokens or guidance with no rows or another width
     than ``e_img`` raise ShapeError (language first) before stage one runs.
     """
+    t0 = time.perf_counter()  # stage one's time includes the scan, and so the input checks
     e_img, e_lang, screen = _screened(e_img, e_lang)
     guidance = _tokens(guidance, "guidance", e_img.shape[1], nonempty=True)
-
-    t0 = time.perf_counter()
     kept_idx, prune_rep = _prune(e_img, e_lang, screen, grid, config)
     t1 = time.perf_counter()
     compressed, merge_rep = _merge(e_img, kept_idx, guidance, config, e_img[:0], [e_lang, guidance])

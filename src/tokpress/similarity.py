@@ -47,9 +47,10 @@ def _screened(e_img, e_lang) -> tuple[np.ndarray, np.ndarray, tuple]:
     scaled = np.ldexp(e_lang, -np.frexp(np.abs(e_lang).max(axis=1))[1][:, None])
     sq, dots = np.empty(len(e_img), np.float32), np.empty((len(e_img), len(scaled)), np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
-        for b in _row_blocks(*e_img.shape, 4):
-            sq[b] = sq_norms(e_img[b])
-            np.matmul(e_img[b], scaled.T, out=dots[b])
+        for s in _row_blocks(*e_img.shape, 4, span=True):  # a span's block products, then its norms in one call
+            for b in _row_blocks(*e_img[s].shape, 4):
+                np.matmul(e_img[s][b], scaled.T, out=dots[s][b])
+            sq[s] = sq_norms(e_img[s])
     _finite(e_img, sq, "e_img")
     return e_img, e_lang, (np.sqrt(sq_norms(scaled.astype(np.float64))), sq, dots)
 

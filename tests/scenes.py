@@ -11,7 +11,8 @@ one of the ways ``CORRUPTIONS`` lists. ``EDGE_SCENES`` are fixed scenes at
 the edges of what the pipeline accepts, for the property tests' explicit
 examples. ``BLOCK_EDGES`` and ``SCAN_EDGES`` are (width, row count) pairs
 around the block size of the relevance upcast and of the anchor screen's
-scan, which ``rows_per_block`` reads from ``core``. ``mask_of`` builds a mask
+scan, which ``rows_per_block`` reads from ``core``, and around the scan's
+spans of four blocks. ``mask_of`` builds a mask
 from token indices.
 """
 
@@ -74,8 +75,16 @@ def _block_edges(d: int, itemsize: int) -> list[tuple[int, int]]:
 
 #: (d, rows) at d=64 and d=4096: 1, B - 1, B, B + 1 and 3B + 5 rows, B rows per float64 upcast block
 BLOCK_EDGES = _block_edges(64, 8) + _block_edges(4096, 8)
-#: the same around the float32 blocks of the anchor screen's scan over e_img
-SCAN_EDGES = _block_edges(64, 4) + _block_edges(4096, 4)
+
+
+def _span_edges(d: int) -> list[tuple[int, int]]:
+    s = _row_blocks(1, d, 4, span=True)[0].stop  # rows per span of the e_img scan
+    return [(d, n) for n in (s - 1, s + 1, s + rows_per_block(d, 4) + 5)]
+
+
+#: the same around the float32 blocks of the anchor screen's scan over e_img, and S - 1, S + 1
+#: and S + B + 5 rows, S rows per span of the scan (four blocks), so a last span is partial
+SCAN_EDGES = _block_edges(64, 4) + _block_edges(4096, 4) + _span_edges(64) + _span_edges(4096)
 
 
 def mask_of(grid, indices=()) -> BinaryMask:

@@ -83,6 +83,19 @@ class TestSqNorms:
         assert norms.dtype == dtype
         assert np.unique(norms.view(f"u{norms.itemsize}")).size == 1
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_row_gets_the_same_norm_in_any_batch(self, dtype):
+        # each row's norm, alone, in a 16-row block, in a 1 MB span (64 float32 or 32 float64
+        # rows at d=4096) and in the whole matrix, has the same bits: the scan takes its norms
+        # per span, relevance per block and the anchor re-score per candidate row
+        rng = np.random.default_rng(7)
+        rows = (rng.standard_normal((600, 4096)) * np.exp2(rng.integers(-30, 30, (600, 1)))).astype(dtype)
+        whole = sq_norms(rows)
+        assert whole.dtype == dtype
+        for size in (1, 16, 2**20 // (4096 * rows.itemsize)):
+            batched = np.concatenate([sq_norms(rows[i : i + size]) for i in range(0, 600, size)])
+            assert batched.tobytes() == whole.tobytes(), size
+
 
 class TestRowBlocks:
     # 256 KB blocks: 16 float32 or 8 float64 rows at d=4096, and one row when a row is larger
@@ -94,6 +107,15 @@ class TestRowBlocks:
         blocks = _row_blocks(rows, width, itemsize)
         assert [i for b in blocks for i in range(rows)[b]] == list(range(rows))
         assert {b.stop - b.start for b in blocks} <= {size}
+
+    # the e_img scan's spans: four blocks, 1 MB at d=4096, or four rows when a row is larger than a block
+    @pytest.mark.parametrize(
+        "rows,width,itemsize,size", [(600, 4096, 4, 64), (517, 4096, 8, 32), (3, 2**17, 4, 4), (0, 64, 4, 4096)]
+    )
+    def test_spans_of_four_blocks_cover_the_rows_in_order(self, rows, width, itemsize, size):
+        spans = _row_blocks(rows, width, itemsize, span=True)
+        assert [i for s in spans for i in range(rows)[s]] == list(range(rows))
+        assert {s.stop - s.start for s in spans} <= {size}
 
 
 class TestIndexSet:

@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -184,7 +185,7 @@ class TestPruneStage:
 
 
 class TestImageNormsFromValidation:
-    """e_img is read once, a block of rows at a time, for its finiteness check and the anchor screen."""
+    """e_img is read in one scan, a 1 MB span of rows at a time, for its finiteness check and the anchor screen."""
 
     def test_row_whose_float32_norm_overflows_is_accepted_and_anchored(self):
         load = load_2view(16)
@@ -203,21 +204,27 @@ class TestImageNormsFromValidation:
         assert result.kept_indices.tolist() == want and result.prune.anchors == len(anchor)
         assert np.isfinite(result.compressed).all()
 
+    @pytest.mark.parametrize("shape", [(2, 16, 16), (2, 10, 30)])
     @pytest.mark.parametrize("stage", ["anchor_mask", "prune_stage", "run_pipeline"])
-    def test_image_read_once_for_validation_and_anchor_norms(self, monkeypatch, stage):
-        # every einsum or matmul (how sq_norms and the scan's products read) that reads e_img's
-        # memory takes one block of its rows: each block by two matmuls in a row, its norms and
-        # its screen products, and the blocks in order take each row once; finiteness is
-        # decided from those norms, so isfinite never reads a clean e_img
-        load = generate_workload(WorkloadSpec(grid=PatchGrid(2, 16, 16), embed_dim=4096, seed=16))
-        e_img = load.e_img
+    def test_image_read_once_for_validation_and_anchor_norms(self, monkeypatch, stage, shape):
+        # every einsum, matmul or isfinite call that reads e_img's memory is logged with the
+        # first row and the row count it reads; a matmul of 3-D row views is sq_norms' (its
+        # batched 1 x d by d x 1 products), a 2-D one the scan's screen products. At d=4096 a
+        # float32 block is 16 rows (256 KB) and a span four blocks, 64 rows (1 MB). The spans
+        # run in order, each as one products matmul per block and then one norms matmul over
+        # the whole span, so each row is read once for its products and once for its norms.
+        # Finiteness is decided from those norms, so isfinite never reads a clean e_img.
+        # 2x10x30 is 600 rows: its last span holds a full block and a partial one of 8 rows
+        load = generate_workload(WorkloadSpec(grid=PatchGrid(*shape), embed_dim=4096, seed=16))
+        e_img, n = load.e_img, load.grid.total
         reads = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 rows = [a for a in args if isinstance(a, np.ndarray) and np.shares_memory(a, e_img)]
                 if rows:
-                    reads.append((name, (rows[0].ctypes.data - e_img.ctypes.data) // e_img.strides[0], len(rows[0])))
+                    kind = {2: "products", 3: "norms"}.get(rows[0].ndim) if name == "matmul" else name
+                    reads.append((kind, (rows[0].ctypes.data - e_img.ctypes.data) // e_img.strides[0], len(rows[0])))
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -229,8 +236,14 @@ class TestImageNormsFromValidation:
         else:
             args = (load.e_lang, load.guidance) if stage == "run_pipeline" else (load.e_lang,)
             getattr(pipeline, stage)(e_img, *args, load.grid, goal_long())
-        blocks = core._row_blocks(*e_img.shape, 4)
-        assert reads == [("matmul", b.start, len(e_img[b])) for b in blocks for _ in range(2)]
+        assert rows_per_block(4096, 4) == 16
+        want = []
+        for span in range(0, n, 64):
+            want += [("products", b, min(16, n - b)) for b in range(span, min(span + 64, n), 16)]
+            want.append(("norms", span, min(64, n - span)))
+        assert reads == want
+        for kind in ("products", "norms"):
+            assert [i for k, first, rows in reads if k == kind for i in range(first, first + rows)] == list(range(n))
 
     def test_no_product_operator_where_e_img_is_read(self):
         # a product written with @ reads its operands without a call the test above could
@@ -488,6 +501,25 @@ class TestRunPipeline:
             assert rep.pruned + rep.keep_size == 512
             assert rep.keep_size - rep.merged_away == 80
             assert (np.diff(rep.schedule.visual_counts) <= 0).all()
+
+    def test_prune_time_includes_the_scan(self, monkeypatch):
+        # a fake clock that only the wrapped steps move: the e_img scan by 1 s, the rest of stage
+        # one by 1/8 s and stage two by 1/4 s (exact in binary), so each stage's time is exact
+        now = [0.0]
+
+        def advancing(fn, seconds):
+            def wrapper(*args, **kwargs):
+                now[0] += seconds
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        for name, seconds in (("_screened", 1.0), ("_prune", 0.125), ("_merge", 0.25)):
+            monkeypatch.setattr(pipeline, name, advancing(getattr(pipeline, name), seconds))
+        load = load_2view(13)
+        result = run_pipeline(load.e_img, load.e_lang, load.guidance, load.grid, goal_long())
+        assert result.report.timings_ms == {"prune": 1125.0, "merge": 250.0}
 
     def test_determinism_excluding_timings(self):
         load = load_2view(13)
