@@ -232,9 +232,9 @@ class RngState:
             return z ^ (z >> np.uint64(31))
 
     def values(self, start: int, count: int) -> np.ndarray:
-        """Draws at counters ``start .. start + count - 1`` as uint64."""
-        _check_integer(start, "start", 0)
-        _check_integer(count, "count", 0)
+        """Draws at counters ``start .. start + count - 1`` as uint64; every counter, and ``start``, is below 2**64."""
+        count = _check_integer(count, "count", 0)
+        start = _check_integer(start, "start", 0, 2**64 - max(count, 1))
         return self._draws(np.arange(count, dtype=np.uint64) + np.uint64(start))
 
     def uniform_index(self, counter_base: int, n: int) -> int:
@@ -246,6 +246,7 @@ class RngState:
         exceeds 1 - n / 2**64).
         """
         n = _check_integer(n, "n", 1)
+        counter_base = _check_integer(counter_base, "counter_base", 0, 2**64 - self.DRAW_SLOTS)
         words = self.values(counter_base, self.DRAW_SLOTS).tolist()
         for w in words:
             if _accepts(w, n):

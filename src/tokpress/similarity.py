@@ -58,23 +58,23 @@ def _screened(e_img, e_lang) -> tuple[np.ndarray, np.ndarray, tuple]:
 def _argmax_cosine(lang, img, scaled_norm, img_sq, dots) -> np.ndarray:
     """Index of each language row's most cosine-similar image row; ties go low.
 
-    The screen scales language row l by an exact power of two to l' (largest entry in
-    [0.5, 1), norm ``scaled_norm``) and scores image row x as s = fl(l'.x) / fl(|x|) from
-    the float32 products ``dots`` and squared norms ``img_sq``. With x's float32 squared
-    norm in ``_SAFE_SQ`` nothing overflows and underflow is negligible, so |fl(l'.x) - l'.x|
-    <= g|l'||x| and |fl(|x|) - |x|| <= g|x|, g = (d+2)u / (1 - (d+2)u), in any summation
-    order; then |s - l'.x/|x|| <= E = |l'|(2g / (1 - g) + 2u), and for (d+2)u <= 1/16 the
-    float64 argmax lies within 2E + (float64 error) <= (5d + 16)u|l'| of the best s. Rows
-    in that margin, and rows the bound does not cover, are its candidates: a lone one is
-    taken, two or more are re-scored in float64, each in one fixed summation order.
+    The screen scales language row l by an exact power of two to l' (largest entry in [0.5, 1), norm
+    ``scaled_norm``) and scores image row x as s = fl(l'.x) / fl(|x|) from the float32 products ``dots`` and
+    squared norms ``img_sq``. With x's float32 squared norm in ``_SAFE_SQ`` nothing overflows and underflow
+    is negligible, so |fl(l'.x) - l'.x| <= g|l'||x| and |fl(|x|) - |x|| <= g|x|, g = (d+2)u / (1 - (d+2)u),
+    in any summation order; then |s - l'.x/|x|| <= E = |l'|(2g / (1 - g) + 2u), and for (d+2)u <= 1/16 the
+    float64 argmax lies within 2E + (float64 error) <= (5d + 16)u|l'| of the best s. Rows in that margin,
+    and rows the bound does not cover, are its candidates. Each language row holds its own max, so it has at
+    least one; one count over all rows then tells whether each has a lone one, which is taken. Otherwise all
+    candidates are re-scored in float64, each in one fixed summation order.
     """
     d = img.shape[1]
     safe = (img_sq >= _SAFE_SQ[0]) & (img_sq <= _SAFE_SQ[1]) & ((d + 2) * _U32 <= 1 / 16)
-    screen = dots.T / np.sqrt(np.where(safe, img_sq, 1.0))
+    screen = np.divide(dots.T, np.sqrt(np.where(safe, img_sq, 1.0)), order="C")  # rows contiguous for the reductions
     screen[:, ~safe] = -np.inf
     margin = (5 * d + 16) * _U32 * scaled_norm
     candidate = (screen >= (screen.max(axis=1) - margin)[:, None]) | ~safe
-    if (candidate.sum(axis=1) == 1).all():
+    if np.count_nonzero(candidate) == len(candidate):
         return np.argmax(candidate, axis=1)
     cols = np.flatnonzero(candidate.any(axis=0))
     lang64, rows64 = lang.astype(np.float64), img[cols].astype(np.float64)

@@ -283,6 +283,22 @@ class TestRngState:
         with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
             RngState(1).values(start, count)
 
+    @pytest.mark.parametrize("start, count", [(2**64, 1), (2**64 - 1, 2), (2**64, 0), (2**64 - 16, 17)])
+    def test_values_past_the_last_counter_rejected(self, start, count):
+        # counters are uint64, so start + count may not pass 2**64
+        with pytest.raises(ParameterError, match="^start must lie in "):
+            RngState(0).values(start, count)
+
+    def test_values_up_to_the_last_counter(self):
+        rng = RngState(3)
+        assert rng.values(2**64 - 2, 2).tolist() == [splitmix.draw(3, t) for t in (2**64 - 2, 2**64 - 1)]
+        assert rng.values(2**64 - 1, 0).size == 0
+
+    @pytest.mark.parametrize("base", [2**64, 2**64 - 15])
+    def test_uniform_index_past_the_last_counter_rejected(self, base):
+        with pytest.raises(ParameterError, match="^counter_base must lie in "):
+            RngState(0).uniform_index(base, 3)
+
     def test_values_numpy_integers_accepted(self):
         assert np.array_equal(RngState(1).values(np.int64(3), np.uint8(4)), RngState(1).values(3, 4))
 

@@ -18,6 +18,19 @@ def rand(shape, seed):
     return np.random.default_rng(seed).standard_normal(shape).astype(np.float32)
 
 
+@pytest.fixture()
+def rescored(monkeypatch):
+    # anchor_mask reaches the float64 cosine only through the re-scoring
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return _cosine(*args)
+
+    monkeypatch.setattr(similarity, "_cosine", counted)
+    return calls
+
+
 class TestCosineMatrix:
     """``_cosine``, the one cosine formula behind anchors and relevance scores."""
 
@@ -139,6 +152,34 @@ class TestScreenedArgmax:
             flipped += int(np.argmax(screen[0])) not in want
         assert flipped > 0  # float32 alone would have picked another row
 
+    def test_a_lone_candidate_row_beside_near_duplicates_is_rescored(self, rescored):
+        # language row 0 has one clear best; row 1's two best image rows lie a few float32 ulps
+        # apart, and the higher one, nudged along the cosine's gradient, wins in float64
+        d, grid = 4096, PatchGrid(1, 2, 4)
+        e_img = rand((8, d), 30)
+        e_lang = np.vstack([e_img[6] * np.float32(3.0), e_img[2] + 0.5 * rand((1, d), 31)[0]])
+        l64, x64 = e_lang[1].astype(np.float64), e_img[2].astype(np.float64)
+        grad = l64 - (l64 @ x64) / (x64 @ x64) * x64
+        coords = np.argsort(-np.abs(grad))[:4]
+        e_img[5] = e_img[2]
+        e_img[5, coords] = np.nextafter(e_img[2, coords], np.copysign(np.inf, grad[coords]).astype(np.float32))
+        want = oracles.anchor_cells(e_lang, e_img)
+        assert want == {6, 5}  # the lower near-duplicate, row 2, loses
+        assert set(anchor_mask(e_lang, e_img, grid).token_indices().tolist()) == want
+        assert len(rescored) == 1
+
+    def test_a_tiny_low_row_is_every_rows_candidate_but_not_the_best(self, rescored):
+        # row 0's squared norm lies below the screen's bound, so it is a candidate of every language row
+        d, grid = 4096, PatchGrid(1, 3, 3)
+        e_img = rand((9, d), 32)
+        e_img[0] *= np.float32(2.0**-40)
+        assert sq_norms(e_img[:1])[0] < similarity._SAFE_SQ[0]
+        e_lang = e_img[[4, 7]] + 0.5 * rand((2, d), 33)
+        want = oracles.anchor_cells(e_lang, e_img)
+        assert want == {4, 7}
+        assert set(anchor_mask(e_lang, e_img, grid).token_indices().tolist()) == want
+        assert len(rescored) == 1
+
     def test_zero_rows(self):
         grid = PatchGrid(1, 3, 3)
         e_img = np.abs(rand((9, 5), 23))
@@ -193,18 +234,6 @@ class TestScreenedArgmax:
 
 class TestLoneCandidate:
     """A language row with one screen candidate takes it; two or more are re-scored in float64."""
-
-    @pytest.fixture()
-    def rescored(self, monkeypatch):
-        # anchor_mask reaches the float64 cosine only through the re-scoring
-        calls = []
-
-        def counted(*args):
-            calls.append(args[0].shape)
-            return _cosine(*args)
-
-        monkeypatch.setattr(similarity, "_cosine", counted)
-        return calls
 
     @staticmethod
     def default_scene():
