@@ -116,11 +116,9 @@ def _row_blocks(rows: int, width: int, itemsize: int, span: bool = False) -> lis
 
 
 def _integers(values, name: str) -> np.ndarray:
-    """``values`` as exact integers, or a ParameterError naming ``name``: an array by its dtype, anything else item
-    by item as ``_check_integer`` judges one, so a ``bool`` is refused and ints past int64 stay exact (as objects)."""
-    if isinstance(values, np.ndarray) and values.size:  # an empty one holds no items, whatever its dtype
-        if values.dtype.kind not in "iu":
-            raise ParameterError(f"{name} must be integers, got dtype {values.dtype}")
+    """``values`` as exact integers, or a ParameterError naming ``name``: an integer array as it is, any other
+    container item by item as ``_check_integer`` judges one, so a ``bool`` is refused and ints past int64 stay exact."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         return values
     items = np.asarray(values, dtype=object)  # the items as given: numpy reads [3, True] as int64
     for item in items.flat:
@@ -177,10 +175,9 @@ class BinaryMask:
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        bits = np.asarray(self.bits, dtype=bool)
+        bits = np.array(self.bits, dtype=bool, order="C")
         if bits.shape != self.grid.shape:
             raise ShapeError(f"mask bits shape {bits.shape} != grid shape {self.grid.shape}")
-        bits = bits.copy()
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
 

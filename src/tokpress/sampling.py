@@ -19,9 +19,7 @@ def context_indices(n_tokens: int, fraction: float) -> np.ndarray:
     _check_integer(n_tokens, "n_tokens", 0)
     _check_real(fraction, "fraction", 0, 1)
     count = math.floor(fraction * n_tokens)
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
-    return (np.arange(count, dtype=np.int64) * n_tokens) // count
+    return (np.arange(count, dtype=np.int64) * n_tokens) // max(count, 1)
 
 
 def _keep(expanded: BinaryMask, context: np.ndarray) -> np.ndarray:

@@ -134,7 +134,7 @@ def generate_workload(spec: WorkloadSpec) -> Workload:
     if n_fg:
         n_anchor = max(1, math.floor(spec.anchor_fraction * n_fg))
         anchor_cells = fg_cells[np.sort(stream.sample(n_fg, n_anchor))]
-        e_lang = e_img[anchor_cells].copy()
+        e_lang = e_img[anchor_cells]
     else:
         anchor_cells = np.empty(0, dtype=np.int64)
         e_lang = base[None, :].astype(np.float32)

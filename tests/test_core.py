@@ -143,6 +143,8 @@ class TestIndexSet:
         # numpy reads [2**63, 5] as float64; the list's ints are checked as given
         with pytest.raises(GridRangeError, match="^indices: index 9223372036854775808 out of range for 10 tokens$"):
             index_set([2**63, 5], limit=10)
+        with pytest.raises(GridRangeError, match="^indices: index 9223372036854775808 out of range for 10 tokens$"):
+            index_set(np.array([2**63, 5], dtype=object), limit=10)
         with pytest.raises(GridRangeError, match="^indices: negative index -1$"):
             index_set([np.uint64(5), -1])
         assert index_set([2**63 - 1, np.uint64(5)]).tolist() == [5, 2**63 - 1]
@@ -151,14 +153,20 @@ class TestIndexSet:
         with pytest.raises(ParameterError, match="^indices: indices must be integers, got True$"):
             index_set([3, True], limit=10)
 
-    @pytest.mark.parametrize("bad", [[1.5, 2.7], [1.0, 2.0], np.array([True, False, True])])
-    def test_non_integer_dtype_rejected(self, bad):
-        with pytest.raises(ParameterError, match="^context: indices must be integers"):
+    @pytest.mark.parametrize(
+        "bad,item",
+        [([1.5, 2.7], "1.5"), ([1.0, 2.0], "1.0"), (np.array([1.5, 2.7]), "1.5"), (np.array([True, False]), "True")],
+    )
+    def test_non_integer_dtype_rejected(self, bad, item):
+        # an array that is not of an integer dtype is judged item by item, as its list is
+        with pytest.raises(ParameterError, match=f"^context: indices must be integers, got {item}$"):
             index_set(bad, name="context")
 
-    def test_integer_dtypes_accepted(self):
-        assert index_set(np.array([3, 1], dtype=np.uint8)).tolist() == [1, 3]
-        assert index_set(np.array([2, 0], dtype=np.int32)).dtype == np.int64
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, object])
+    def test_integer_dtypes_accepted(self, dtype):
+        got = index_set(np.array([3, 1, 3], dtype=dtype))
+        assert got.dtype == np.int64
+        assert got.tolist() == index_set([3, 1, 3]).tolist() == [1, 3]
 
 
 class TestPatchGrid:

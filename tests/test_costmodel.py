@@ -40,7 +40,8 @@ class TestIntegerChecks:
             (lambda: layer_flops(10.5), "^n must"),
             (lambda: TokenSchedule.flat(10, 3, 1.5), "TokenSchedule.non_visual"),
             (lambda: TokenSchedule([2.5, 1.0]), "TokenSchedule.visual_counts"),
-            (lambda: TokenSchedule(np.array([True, False])), "TokenSchedule.visual_counts"),
+            (lambda: TokenSchedule(np.array([True, False])), "^TokenSchedule.visual_counts must be integers, got True"),
+            (lambda: TokenSchedule(np.array([3.0])), "^TokenSchedule.visual_counts must be integers, got 3.0$"),
             (lambda: TokenSchedule.flat(10.5, 3), "TokenSchedule.visual_counts"),
             (lambda: TokenSchedule.two_stage(196.5, 80, 3, 8), "TokenSchedule.visual_counts"),
             (lambda: TokenSchedule.two_stage(196, 80, 2.5, 8), "^merge_layer must"),
@@ -74,6 +75,13 @@ class TestTokenSchedule:
         s = TokenSchedule.two_stage(196, 80, 3, 8, 64)
         assert s.visual_counts.tolist() == [196, 196, 196, 80, 80, 80, 80, 80]
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, object])
+    def test_integer_arrays_match_the_list(self, dtype):
+        got = TokenSchedule(np.array([5, 5, 2], dtype=dtype), 3)
+        want = TokenSchedule([5, 5, 2], 3)
+        assert got.visual_counts.dtype == want.visual_counts.dtype == np.int64
+        assert (got.visual_counts.tolist(), got.non_visual) == (want.visual_counts.tolist(), want.non_visual)
+
     def test_two_stage_bad_layer(self):
         with pytest.raises(ParameterError):
             TokenSchedule.two_stage(196, 80, 8, 8)
@@ -104,6 +112,8 @@ class TestTokenSchedule:
         msg = r"^TokenSchedule.visual_counts must lie in \[0, 9223372036854775807\], got 9223372036854775808$"
         with pytest.raises(ParameterError, match=msg):
             TokenSchedule([2**63, 5])
+        with pytest.raises(ParameterError, match=msg):
+            TokenSchedule(np.array([2**63, 5], dtype=object))
         with pytest.raises(ParameterError, match="^TokenSchedule.visual_counts must be non-negative$"):
             TokenSchedule([np.uint64(5), -1])
 

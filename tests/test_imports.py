@@ -7,8 +7,8 @@ function, every module-level name the library defines is exported or
 read somewhere in it, no library module writes a file except through
 ``tokenfile._overwrite``, every stage module imports nothing from the
 package but ``core``, no library module but ``core`` reads the block size
-``_BLOCK`` or calls ``np.isfinite``, and the library stays within its line
-budget.
+``_BLOCK``, calls ``np.isfinite`` or tests ``isinstance(..., bool)``, and
+the library stays within its line budget.
 
 Deleting code tends to leave its imports behind, its name in other
 places, and the tables only it read; this catches them. The package
@@ -38,7 +38,7 @@ REPO = Path(__file__).resolve().parent.parent
 SPANS = REPO / "perfbench" / "spans.py"
 SCRIPTS = sorted(REPO.glob("tests/*.py")) + sorted(REPO.glob("demos/*.py"))
 # the most lines src/tokpress/*.py may hold; a change that raises it says so in CHANGES.md
-LINE_BUDGET = 1788
+LINE_BUDGET = 1783
 
 
 def unused_imports(source: str) -> list[str]:
@@ -236,6 +236,36 @@ def test_guard_sees_isfinite_reads():
     readded = similarity + "\n\ndef _scores_finite(scores):\n    return np.isfinite(scores).all()\n"
     assert name_reads(similarity, "isfinite") == []
     assert name_reads(readded, "isfinite") == [f"line {len(similarity.splitlines()) + 4}: isfinite"]
+
+
+def bool_tests(source: str) -> list[str]:
+    """``line N`` for each ``isinstance`` call in ``source`` whose class argument names ``bool``, alone or in a tuple."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            classes = node.args[1:2]
+            if classes and isinstance(classes[0], ast.Tuple):
+                classes = classes[0].elts
+            lines += [node.lineno for c in classes if isinstance(c, ast.Name) and c.id == "bool"]
+    return [f"line {n}" for n in sorted(lines)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
+def test_only_core_tests_for_bool(path):
+    # core._check_integer, _check_real and _integers hold the one rule that a bool is no number
+    assert bool_tests(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_bool_tests():
+    source = (
+        "def f(x, xs):\n"
+        "    if isinstance(x, bool) or not isinstance(x, int):\n"
+        "        return isinstance(xs[0], (int, bool))\n"
+        "    return isinstance(x, np.bool_), bool(x)\n"
+    )
+    assert bool_tests(source) == ["line 2", "line 3"]
+    core = (PACKAGE / "core.py").read_text(encoding="utf-8")
+    assert len(bool_tests(core)) == 3
 
 
 def third_party_imports(source: str) -> set[str]:

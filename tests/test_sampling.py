@@ -12,8 +12,13 @@ from tokpress.sampling import _keep, context_indices, keep_set
 
 
 class TestContextIndices:
+    @pytest.mark.filterwarnings("error")
     def test_zero_fraction(self):
-        assert context_indices(100, 0.0).size == 0
+        # a zero fraction, no tokens, or a fraction whose floor is 0: the same empty int64 sample, with no warning
+        for n, u in [(100, 0.0), (0, 0.0), (0, 0.5), (7, 0.1)]:
+            got = context_indices(n, u)
+            assert got.size == 0
+            assert got.dtype == np.int64
 
     def test_full_fraction(self):
         assert context_indices(9, 1.0).tolist() == list(range(9))
