@@ -229,26 +229,22 @@ class RngState:
             return z ^ (z >> np.uint64(31))
 
     def values(self, start: int, count: int) -> np.ndarray:
-        """Draws at counters ``start .. start + count - 1`` as uint64; every counter, and ``start``, is below 2**64."""
-        count = _check_integer(count, "count", 0)
+        """Draws at counters ``start .. start + count - 1`` as uint64; each is below 2**64, and count <= 2**59."""
+        count = _check_integer(count, "count", 0, 2**59)  # numpy's arange errs near 2**60 and gives [] at 2**63
         start = _check_integer(start, "start", 0, 2**64 - max(count, 1))
         return self._draws(np.arange(count, dtype=np.uint64) + np.uint64(start))
 
     def uniform_index(self, counter_base: int, n: int) -> int:
-        """Uniform draw in [0, n), bias-free via rejection sampling.
+        """Uniform draw in [0, n) for n in [1, 2**32], bias-free via rejection sampling.
 
         Uses the ``DRAW_SLOTS`` counters starting at ``counter_base``; keyed
         callers must space their bases at least that far apart. The rejection
-        loop practically never exhausts (acceptance probability per attempt
-        exceeds 1 - n / 2**64).
+        test refuses 2**64 % n < n words, so a slot is refused with probability
+        below 2**-32, and all 16 with probability below 2**-512.
         """
-        n = _check_integer(n, "n", 1)
+        n = _check_integer(n, "n", 1, 2**32)
         counter_base = _check_integer(counter_base, "counter_base", 0, 2**64 - self.DRAW_SLOTS)
-        words = self.values(counter_base, self.DRAW_SLOTS).tolist()
-        for w in words:
-            if _accepts(w, n):
-                return w % n
-        return words[-1] % n  # unreachable for any realistic n
+        return next(w % n for w in self.values(counter_base, self.DRAW_SLOTS).tolist() if _accepts(w, n))
 
 
 def _accepts(word: int, n: int) -> bool:
@@ -284,17 +280,17 @@ class CounterStream:
         return z[:count]
 
     def below(self, n: int) -> int:
-        """One uniform integer in [0, n)."""
+        """One uniform integer in [0, n), n <= 2**32."""
         idx = self._rng.uniform_index(self._next, n)
         self._next += RngState.DRAW_SLOTS
         return idx
 
     def sample(self, n: int, k: int) -> np.ndarray:
-        """k distinct integers from range(n), partial Fisher-Yates order."""
-        _check_integer(n, "n", 0)
-        _check_integer(k, "k", 0, n)
-        pool = np.arange(n, dtype=np.int64)
+        """k distinct integers from range(n), n <= 2**32, by partial Fisher-Yates on a dict of swapped slots."""
+        n = _check_integer(n, "n", 0, 2**32)
+        k = _check_integer(k, "k", 0, n)
+        pool = {}
         for i in range(k):
             j = i + self.below(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k].copy()
+            pool[i], pool[j] = pool.get(j, j), pool.get(i, i)
+        return np.array([pool[i] for i in range(k)], dtype=np.int64)

@@ -35,18 +35,18 @@ def _check_kernel(kernel_size) -> int:
 def _window_counts(cells: np.ndarray, k: int) -> np.ndarray:
     """Set cells in the k x k window around each cell of a (views, h, w) array, per view.
 
-    Each view sits in a zero buffer with k // 2 + 1 zero rows and columns
-    before it and k // 2 after, whose 2-D prefix sums C give every window,
-    clipped at the view border, as four corner reads:
-    C[i + k, j + k] - C[i, j + k] - C[i + k, j] + C[i, j].
+    A window of kh = min(k, 2h - 1) rows and kw = min(k, 2w - 1) columns covers the view from
+    every cell, so it counts the same. Each view sits in a zero buffer with kh // 2 + 1 zero rows
+    and kw // 2 + 1 columns before it and kh // 2, kw // 2 after, whose 2-D prefix sums C give
+    every window, clipped at the view border, as C[i + kh, j + kw] - C[i, j + kw] - C[i + kh, j] + C[i, j].
     """
     views, h, w = cells.shape
-    lead = k // 2 + 1
-    c = np.zeros((views, h + k, w + k), dtype=np.int64)
-    c[:, lead : lead + h, lead : lead + w] = cells
+    kh, kw = min(k, 2 * h - 1), min(k, 2 * w - 1)
+    c = np.zeros((views, h + kh, w + kw), dtype=np.int64)
+    c[:, kh // 2 + 1 : kh // 2 + 1 + h, kw // 2 + 1 : kw // 2 + 1 + w] = cells
     np.cumsum(c, axis=1, out=c)
     np.cumsum(c, axis=2, out=c)
-    return c[:, k:, k:] - c[:, :-k, k:] - c[:, k:, :-k] + c[:, :-k, :-k]
+    return c[:, kh:, kw:] - c[:, :-kh, kw:] - c[:, kh:, :-kw] + c[:, :-kh, :-kw]
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,11 @@ def expand_mask(mask: BinaryMask, params: ExpandParams, rng: RngState) -> Binary
     if v.size == 0:
         return BinaryMask(grid, out)
 
-    r = k // 2  # flat token indices, each view framed by r rows and columns of -1
-    index = np.full((grid.views, grid.height + 2 * r, grid.width + 2 * r), -1)
-    index[:, r : r + grid.height, r : r + grid.width] = np.arange(grid.total).reshape(grid.shape)
-    windows = sliding_window_view(index, (k, k), axis=(1, 2))[v, i, j].reshape(v.size, k * k)
+    kh, kw = min(k, 2 * grid.height - 1), min(k, 2 * grid.width - 1)  # clamped per axis as in _window_counts
+    rh, rw = kh // 2, kw // 2  # flat token indices, each view framed by rh rows and rw columns of -1
+    index = np.full((grid.views, grid.height + 2 * rh, grid.width + 2 * rw), -1)
+    index[:, rh : rh + grid.height, rw : rw + grid.width] = np.arange(grid.total).reshape(grid.shape)
+    windows = sliding_window_view(index, (kh, kw), axis=(1, 2))[v, i, j].reshape(v.size, kh * kw)
     keys = (i * grid.width + j) * RngState.DRAW_SLOTS
     words = rng._draws(keys.astype(np.uint64))
 

@@ -14,9 +14,9 @@ def context_indices(n_tokens: int, fraction: float) -> np.ndarray:
 
     Index t of the sample is floor(t * n_tokens / count), so the samples
     start at 0, are strictly increasing, and cover the sequence evenly.
-    Deterministic, no rng involved.
+    Deterministic, no rng involved. n_tokens is at most isqrt(2**63 - 1) = 3037000499.
     """
-    _check_integer(n_tokens, "n_tokens", 0)
+    _check_integer(n_tokens, "n_tokens", 0, math.isqrt(2**63 - 1))  # so each t * n_tokens fits int64
     _check_real(fraction, "fraction", 0, 1)
     count = math.floor(fraction * n_tokens)
     return (np.arange(count, dtype=np.int64) * n_tokens) // max(count, 1)

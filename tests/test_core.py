@@ -277,9 +277,19 @@ class TestRngState:
         draws = {rng.uniform_index(base * 16, 5) for base in range(300)}
         assert draws == {0, 1, 2, 3, 4}
 
-    def test_uniform_index_invalid_n(self):
-        with pytest.raises(ParameterError):
-            RngState(0).uniform_index(0, 0)
+    @pytest.mark.parametrize("n", [0, 2**32 + 1, 2**65])
+    def test_uniform_index_invalid_n(self, n):
+        # n <= 2**32 keeps each slot's refusal below 2**-32, so all 16 fail with probability below 2**-512
+        with pytest.raises(ParameterError, match="^n must lie in "):
+            RngState(0).uniform_index(0, n)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 97, 2**31 + 1, 2**32])
+    def test_uniform_index_is_the_first_accepted_slot(self, n, seed):
+        rng = RngState(seed)
+        for base in [b * 16 for b in range(63)] + [2**64 - 16]:
+            words = [splitmix.draw(seed, base + s) for s in range(16)]
+            assert rng.uniform_index(base, n) == next(w % n for w in words if w < 2**64 - 2**64 % n)
 
     @pytest.mark.parametrize("n", [2.5, 2.0, True])
     def test_uniform_index_non_integer_n_rejected(self, n):
@@ -291,10 +301,14 @@ class TestRngState:
         with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
             RngState(1).values(start, count)
 
-    @pytest.mark.parametrize("start, count", [(2**64, 1), (2**64 - 1, 2), (2**64, 0), (2**64 - 16, 17)])
-    def test_values_past_the_last_counter_rejected(self, start, count):
-        # counters are uint64, so start + count may not pass 2**64
-        with pytest.raises(ParameterError, match="^start must lie in "):
+    @pytest.mark.parametrize(
+        "start, count, name",
+        [(2**64, 1, "start"), (2**64 - 1, 2, "start"), (2**64, 0, "start"), (2**64 - 16, 17, "start")]
+        + [(0, 2**59 + 1, "count"), (0, 2**63, "count"), (0, 2**64 + 1, "count")],
+    )
+    def test_values_past_the_last_counter_rejected(self, start, count, name):
+        # counters are uint64, so start + count may not pass 2**64; numpy's arange reads 2**63 words as none
+        with pytest.raises(ParameterError, match=f"^{name} must lie in "):
             RngState(0).values(start, count)
 
     def test_values_up_to_the_last_counter(self):
@@ -357,9 +371,22 @@ class TestCounterStream:
         assert got.tolist() == CounterStream(RngState(3)).sample(9, 4).tolist()
         assert RngState(3).uniform_index(0, np.int32(7)) == RngState(3).uniform_index(0, 7)
 
-    def test_sample_invalid(self):
-        with pytest.raises(ParameterError):
-            CounterStream(RngState(0)).sample(3, 4)
+    @pytest.mark.parametrize("n, k, name", [(3, 4, "k"), (2**64 + 1, 0, "n"), (2**32 + 1, 1, "n")])
+    def test_sample_invalid(self, n, k, name):
+        with pytest.raises(ParameterError, match=f"^{name} must lie in "):
+            CounterStream(RngState(0)).sample(n, k)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sample_is_list_fisher_yates(self, seed):
+        # every n <= 40 and k <= n, against swaps in a plain list fed by the same below draws
+        for n in range(41):
+            for k in range(n + 1):
+                got = CounterStream(RngState(seed)).sample(n, k)
+                stream, pool = CounterStream(RngState(seed)), list(range(n))
+                for i in range(k):
+                    j = i + stream.below(n - i)
+                    pool[i], pool[j] = pool[j], pool[i]
+                assert got.dtype == np.int64 and got.tolist() == pool[:k]
 
     @pytest.mark.parametrize("n, k, name", [(3.0, 1, "n"), (3, 1.0, "k"), (True, 1, "n"), (3, False, "k")])
     def test_sample_non_integer_rejected(self, n, k, name):

@@ -104,6 +104,14 @@ class TestDensityMap:
         mask = random_mask(grid, fill, seed)
         assert np.array_equal(density_map(mask, k), oracles.density_counts(mask.bits, k))
 
+    @pytest.mark.parametrize("shape", [(1, 4, 4), (2, 5, 7), (1, 1, 9)])
+    def test_kernel_wider_than_the_grid(self, shape):
+        # a window of 2 * max(h, w) - 1 covers the whole view from every cell, so any wider one counts the same
+        mask = random_mask(PatchGrid(*shape), 0.3, 1)
+        got = density_map(mask, 2**31 + 1)
+        assert np.array_equal(got, density_map(mask, 2 * max(shape[1:]) - 1))
+        assert np.array_equal(got, oracles.density_counts(mask.bits, 2**31 + 1))
+
 
 class TestExpandMask:
     def test_empty_stays_empty(self):
@@ -267,6 +275,19 @@ class TestExpandMask:
         mask = random_mask(PatchGrid(views, h, w), fill, seed % 2**32)
         out = expand_mask(mask, ExpandParams(k, tau), RngState(seed))
         assert np.array_equal(out.bits, oracles.expand_bits(mask.bits, k, tau, RngState(seed)))
+
+    @pytest.mark.parametrize("tau", [1, 3, 6])
+    @pytest.mark.parametrize("shape", [(1, 4, 4), (2, 5, 7), (1, 1, 9)])
+    def test_kernel_wider_than_the_grid(self, shape, tau):
+        # two bits a view, so every cell counts 2: at tau=1 each cell dilates the whole view, and at tau=3 and 6
+        # each flips one unset cell of it, which also fills the view, one draw per cell
+        grid = PatchGrid(*shape)
+        cells = [(0, 1), (grid.height - 1, grid.width - 1)]
+        mask = mask_from_cells(grid, [(v, i, j) for v in range(grid.views) for i, j in cells])
+        out = expand_mask(mask, ExpandParams(2**31 + 1, tau), RngState(7))
+        assert np.array_equal(out.bits, expand_mask(mask, ExpandParams(2 * max(shape[1:]) - 1, tau), RngState(7)).bits)
+        assert np.array_equal(out.bits, oracles.expand_bits(mask.bits, 2**31 + 1, tau, RngState(7)))
+        assert out.bits.all() and oracles.dense_region(mask.bits, 2**31 + 1, tau).all() == (tau == 1)
 
     def test_rejected_first_word_falls_back_like_the_oracle(self):
         # on 3x3 with the center set, every cell is sparse at tau=2 and cell

@@ -44,7 +44,8 @@ class TestContextIndices:
             assert got[-1] < n
 
     def test_matches_stride_oracle(self):
-        for n, u in [(512, 0.25), (300, 0.35), (17, 0.5), (4096, 0.1)]:
+        # 3037000499 = isqrt(2**63 - 1) is the largest n_tokens whose products t * n_tokens all fit int64
+        for n, u in [(512, 0.25), (300, 0.35), (17, 0.5), (4096, 0.1), (3037000499, 1e-9), (3037000499, 1e-6)]:
             assert context_indices(n, u).tolist() == oracles.stride_indices(n, u)
 
     def test_fraction_out_of_range(self):
@@ -53,9 +54,10 @@ class TestContextIndices:
         with pytest.raises(ParameterError):
             context_indices(10, 1.01)
 
-    def test_negative_count(self):
-        with pytest.raises(ParameterError):
-            context_indices(-1, 0.5)
+    @pytest.mark.parametrize("n, u", [(-1, 0.5), (3037000500, 1e-9), (2**62, 1e-17), (2**64, 1e-18)])
+    def test_count_out_of_range(self, n, u):
+        with pytest.raises(ParameterError, match="^n_tokens must lie in "):
+            context_indices(n, u)
 
     @pytest.mark.parametrize("n", [10.5, 10.0, True, np.float64(10)])
     def test_non_integer_count_rejected(self, n):
